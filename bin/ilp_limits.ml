@@ -46,7 +46,7 @@ let fault_of_name name =
          { name;
            hint = Pipeline_error.suggest name Fault.Injector.kind_names })
 
-(* The parallelism flags (--jobs / --segment-steps / --scheduler) are
+(* The parallelism flags (--jobs / --segment-steps) are
    declared and validated once in Cli.Parallel, shared with serve and
    the bench; every malformed value is a typed Invalid_request, exit
    code 2. *)
@@ -187,12 +187,10 @@ let obs_report ~trace_out ~metrics ~prom_out obs =
   end
 
 let cmd_run names machine_names no_inline no_unroll fuel stream step_budget
-    mem_words deadline_ms jobs segment_steps scheduler trace_out metrics
-    prom_out =
+    mem_words deadline_ms jobs segment_steps trace_out metrics prom_out =
   let* ws = workloads_of_names names in
   let* machines = Ilp.Machine.of_specs machine_names in
   let* segment_steps = segmenting_of_flag segment_steps in
-  let* scheduler = Cli.Parallel.scheduler_of_flag scheduler in
   let header =
     "Program"
     :: List.map (fun (m : Ilp.Machine.t) -> m.name) machines
@@ -214,7 +212,7 @@ let cmd_run names machine_names no_inline no_unroll fuel stream step_budget
      table is identical for every --jobs value. *)
   let stream = stream || (jobs > 1 && List.length ws > 1) in
   let cfg =
-    Harness.Run.config ~jobs ~scheduler ?fuel ?step_budget ?mem_words
+    Harness.Run.config ~jobs ?fuel ?step_budget ?mem_words
       ?deadline_ms ~stream ~obs ~segment_steps specs
   in
   let* items = Harness.Run.exec cfg ws in
@@ -634,16 +632,14 @@ let cmd_wire_fuzz ~socket ~seed ~cases =
             "wire fuzz violations (%d hung, %d unexpected ok, alive=%b)"
             r.Serve.Wire_fuzz.hung r.unexpected_ok r.alive))
 
-let cmd_fuzz names seed cases fuel jobs scheduler random_machines segments
-    serve_sock trace_out metrics prom_out =
+let cmd_fuzz names seed cases fuel jobs random_machines segments serve_sock trace_out metrics prom_out =
   match serve_sock with
   | Some socket -> cmd_wire_fuzz ~socket ~seed ~cases
   | None ->
   let* ws = workloads_of_names names in
-  let* scheduler = Cli.Parallel.scheduler_of_flag scheduler in
   let obs = obs_ctx trace_out metrics prom_out in
   let* r =
-    Harness.Fuzz.run ?fuel ~workloads:ws ?jobs ~scheduler ~obs
+    Harness.Fuzz.run ?fuel ~workloads:ws ?jobs ~obs
       ~random_machines ~segments ~seed ~cases ()
   in
   obs_report ~trace_out ~metrics ~prom_out obs;
@@ -781,12 +777,11 @@ let supervise cfg =
   in
   loop 0
 
-let cmd_serve socket tcp jobs scheduler queue_limit cache_capacity admit
+let cmd_serve socket tcp jobs queue_limit cache_capacity admit
     max_fuel max_step_budget default_deadline_ms idle_timeout_ms
     retry_after_ms segment_steps supervise_flag =
   let* admission = parse_admission admit in
   let* segment_steps = segmenting_of_flag segment_steps in
-  let* scheduler = Cli.Parallel.scheduler_of_flag scheduler in
   let* tcp =
     match tcp with
     | None -> Ok None
@@ -795,7 +790,7 @@ let cmd_serve socket tcp jobs scheduler queue_limit cache_capacity admit
       Ok (Some hp)
   in
   let cfg =
-    Serve.Server.config ?tcp ?jobs ~scheduler ?queue_limit ?cache_capacity
+    Serve.Server.config ?tcp ?jobs ?queue_limit ?cache_capacity
       ~admission ?max_fuel ?max_step_budget ?default_deadline_ms
       ?idle_timeout_ms ?retry_after_ms ~segment_steps ~socket_path:socket ()
   in
@@ -885,7 +880,6 @@ let workloads_arg =
          ~doc:"Workload to use (repeatable; default: all).")
 
 let jobs_arg = Cli.Parallel.jobs_arg
-let scheduler_arg = Cli.Parallel.scheduler_arg
 let segment_steps_arg = Cli.Parallel.segment_steps_arg ()
 
 let trace_out_arg =
@@ -981,11 +975,11 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Measure parallelism limits (Table 3).")
     Term.(
-      const (fun ws ms ni nu f s sb mw dl j ss sch tr mx pr ->
-          handle (cmd_run ws ms ni nu f s sb mw dl j ss sch tr mx pr))
+      const (fun ws ms ni nu f s sb mw dl j ss tr mx pr ->
+          handle (cmd_run ws ms ni nu f s sb mw dl j ss tr mx pr))
       $ workloads_arg $ machines $ no_inline $ no_unroll $ fuel $ stream
       $ step_budget $ mem_words $ deadline_ms $ jobs_arg
-      $ segment_steps_arg $ scheduler_arg $ trace_out_arg $ metrics_arg
+      $ segment_steps_arg $ trace_out_arg $ metrics_arg
       $ prom_out_arg)
 
 let stats_cmd =
@@ -1144,10 +1138,10 @@ let fuzz_cmd =
              invariant: every input yields a result or a structured \
              error.  Nonzero exit if any exception escapes.")
     Term.(
-      const (fun ws s c fu j sch rm sg sv tr mx pr ->
-          handle (cmd_fuzz ws s c fu j sch rm sg sv tr mx pr))
+      const (fun ws s c fu j rm sg sv tr mx pr ->
+          handle (cmd_fuzz ws s c fu j rm sg sv tr mx pr))
       $ workloads_arg $ seed_arg $ cases $ inject_fuel $ jobs_arg
-      $ scheduler_arg $ random_machines $ segments $ serve_sock
+      $ random_machines $ segments $ serve_sock
       $ trace_out_arg $ metrics_arg $ prom_out_arg)
 
 let socket_arg =
@@ -1224,11 +1218,11 @@ let serve_cmd =
              compiled-program cache, and graceful drain on \
              SIGTERM/SIGINT.")
     Term.(
-      const (fun s t j sch q c a mf msb d i ra ss sup ->
-          handle (cmd_serve s t j sch q c a mf msb d i ra ss sup))
+      const (fun s t j q c a mf msb d i ra ss sup ->
+          handle (cmd_serve s t j q c a mf msb d i ra ss sup))
       $ socket_arg
       $ tcp_arg ~doc:"Also listen on HOST:PORT."
-      $ jobs_arg $ scheduler_arg $ queue_limit $ cache $ admit $ max_fuel
+      $ jobs_arg $ queue_limit $ cache $ admit $ max_fuel
       $ max_step_budget $ deadline $ idle $ retry_after $ segment_steps
       $ supervise)
 

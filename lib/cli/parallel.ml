@@ -20,19 +20,6 @@ let segmenting_of_flag = function
                    (got %S)"
                   s)))
 
-let scheduler_of_flag = function
-  | None -> Ok Stdx.Pool.default_scheduler
-  | Some s -> (
-      match Stdx.Pool.scheduler_of_string s with
-      | Some sched -> Ok sched
-      | None ->
-          err
-            (Invalid_request
-               (Printf.sprintf "scheduler must be one of %s (got %S)"
-                  (String.concat ", "
-                     (List.map fst Stdx.Pool.schedulers))
-                  s)))
-
 open Cmdliner
 
 let jobs_arg =
@@ -45,17 +32,6 @@ let jobs_arg =
            runtime's recommended domain count; 1 keeps everything on \
            the calling domain).  Output is bit-identical for every \
            value of N.")
-
-let scheduler_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "scheduler" ] ~docv:"NAME"
-        ~doc:
-          "Domain-pool scheduler: $(b,steal) (per-worker lock-free \
-           deques, idle domains steal queued tasks — the default) or \
-           $(b,locked) (one central locked queue).  Scheduling only: \
-           results are bit-identical under either.")
 
 let default_segment_doc =
   "Shard each workload's trace into $(docv)-instruction segments \

@@ -388,7 +388,6 @@ module Run = struct
   type config = {
     specs : spec list;
     jobs : int;
-    scheduler : Stdx.Pool.scheduler;
     fuel : int option;
     step_budget : int option;
     mem_words : int option;
@@ -399,10 +398,10 @@ module Run = struct
     segment_steps : segmenting;
   }
 
-  let config ?(jobs = 1) ?(scheduler = Stdx.Pool.default_scheduler) ?fuel
-      ?step_budget ?mem_words ?options ?(stream = false) ?deadline_ms
-      ?(obs = Obs.Ctx.disabled) ?(segment_steps = `Off) specs =
-    { specs; jobs; scheduler; fuel; step_budget; mem_words; options; stream;
+  let config ?(jobs = 1) ?fuel ?step_budget ?mem_words ?options
+      ?(stream = false) ?deadline_ms ?(obs = Obs.Ctx.disabled)
+      ?(segment_steps = `Off) specs =
+    { specs; jobs; fuel; step_budget; mem_words; options; stream;
       deadline_ms; obs; segment_steps }
 
   type item = {
@@ -598,7 +597,7 @@ module Run = struct
       Ok (List.map (fun iw -> task iw) indexed)
     | _ when not seg_on ->
       Ok
-        (Stdx.Pool.with_pool ~scheduler:cfg.scheduler ~jobs (fun pool ->
+        (Stdx.Pool.with_pool ~jobs (fun pool ->
              Stdx.Pool.map_list pool (fun iw -> task iw) indexed))
     | _ ->
       (* Segmentation wants the pool inside every task (decode +
@@ -607,7 +606,7 @@ module Run = struct
          safe: the pool's submitters and awaiters help drain the
          queue. *)
       Ok
-        (Stdx.Pool.with_pool ~scheduler:cfg.scheduler ~jobs (fun pool ->
+        (Stdx.Pool.with_pool ~jobs (fun pool ->
              Stdx.Pool.map_list pool (fun iw -> task ~pool iw) indexed))
 end
 
@@ -983,7 +982,6 @@ module Fuzz = struct
     | O_escaped of escaped
 
   let run ?fuel ?(workloads = Workloads.Registry.all) ?(jobs = 1)
-      ?(scheduler = Stdx.Pool.default_scheduler)
       ?(obs = Obs.Ctx.disabled) ?(random_machines = false)
       ?(segments = false) ~seed ~cases () =
     let* jobs = validate_jobs jobs in
@@ -1055,7 +1053,7 @@ module Fuzz = struct
     in
     let outcomes =
       if jobs > 1 && cases > 1 then
-        Stdx.Pool.with_pool ~scheduler ~jobs (fun pool ->
+        Stdx.Pool.with_pool ~jobs (fun pool ->
             Stdx.Pool.map_array pool case (Array.init cases Fun.id))
       else Array.init cases case
     in

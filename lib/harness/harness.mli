@@ -209,11 +209,6 @@ module Run : sig
   type config = {
     specs : spec list;  (** analysis fan-out, shared by every workload *)
     jobs : int;  (** domain-pool width; [1] never spawns a domain *)
-    scheduler : Stdx.Pool.scheduler;
-    (** which pool implementation backs [jobs > 1] runs (locked queue
-        or work-stealing deques).  Scheduling only: results are
-        bit-identical across schedulers, and [jobs = 1] never consults
-        it. *)
     fuel : int option;
     (** instruction budget override ([None]: each workload's own) *)
     step_budget : int option;
@@ -242,7 +237,6 @@ module Run : sig
 
   val config :
     ?jobs:int ->
-    ?scheduler:Stdx.Pool.scheduler ->
     ?fuel:int ->
     ?step_budget:int ->
     ?mem_words:int ->
@@ -253,8 +247,7 @@ module Run : sig
     ?segment_steps:segmenting ->
     spec list ->
     config
-  (** Defaults: sequential ([jobs = 1]),
-      {!Stdx.Pool.default_scheduler}, workload fuel, no step budget,
+  (** Defaults: sequential ([jobs = 1]), workload fuel, no step budget,
       default VM memory, no compile options, materialized trace, no
       deadline, observability disabled, no segmentation. *)
 
@@ -486,7 +479,6 @@ module Fuzz : sig
     ?fuel:int ->
     ?workloads:Workloads.Registry.t list ->
     ?jobs:int ->
-    ?scheduler:Stdx.Pool.scheduler ->
     ?obs:Obs.Ctx.t ->
     ?random_machines:bool ->
     ?segments:bool ->

@@ -85,21 +85,17 @@ let vm_disabled = make_vm null_registry
 
 let vm ?sample_every registry = make_vm ?sample_every registry
 
-(* The domain-pool instruments (ROADMAP item 2): the single place the
-   pool's observable surface is named.  Both the transition probe
-   ([pool]) and the snapshot publisher ([pool_stats]) register the same
-   instruments, idempotently by name, so serve / bench / tests never
-   hand-wire pool gauges again. *)
+(* The domain-pool instruments: the single place the pool's observable
+   surface is named.  Both the transition probe ([pool]) and the
+   snapshot publisher ([pool_stats]) register the same instruments,
+   idempotently by name, so serve / bench / tests never hand-wire pool
+   gauges again. *)
 type pool_instruments = {
   p_submitted : Metrics.counter;
   p_completed : Metrics.counter;
-  p_depth_hw : Metrics.gauge;  (* aggregate queued, all deques *)
-  p_deque_hw : Metrics.gauge;  (* deepest single deque *)
+  p_depth_hw : Metrics.gauge;
   p_in_flight_hw : Metrics.gauge;
-  p_steal_attempts : Metrics.counter;
-  p_steals : Metrics.counter;
   p_parks : Metrics.counter;
-  p_wakes : Metrics.counter;
 }
 
 let pool_instruments registry =
@@ -110,53 +106,32 @@ let pool_instruments registry =
       Metrics.counter registry ~help:"tasks completed by the domain pool"
         "pool_tasks_completed_total";
     p_depth_hw =
-      Metrics.gauge registry
-        ~help:"pool queue depth high-water (aggregate across deques)"
+      Metrics.gauge registry ~help:"pool queue depth high-water"
         "pool_queue_depth_highwater";
-    p_deque_hw =
-      Metrics.gauge registry
-        ~help:"deepest single deque high-water (= queue depth when locked)"
-        "pool_deque_depth_highwater";
     p_in_flight_hw =
       Metrics.gauge registry ~help:"pool tasks-in-flight high-water"
         "pool_tasks_in_flight_highwater";
-    p_steal_attempts =
-      Metrics.counter registry ~help:"steal sweeps' victim probes"
-        "pool_steal_attempts_total";
-    p_steals =
-      Metrics.counter registry ~help:"tasks taken from another deque"
-        "pool_steals_total";
     p_parks =
-      Metrics.counter registry ~help:"workers parked with nothing runnable"
-        "pool_parks_total";
-    p_wakes =
-      Metrics.counter registry ~help:"parked workers woken"
-        "pool_wakes_total" }
+      Metrics.counter registry ~help:"workers parked on an empty queue"
+        "pool_parks_total" }
 
 (* High-water gauges stay commutative (max) and counters only ever
    increment, so jobs=N snapshots stay deterministic for a quiescent
-   pool even though the probe now fires without any global lock. *)
+   pool. *)
 let pool registry =
   let i = pool_instruments registry in
-  fun event ~depth ~deque ~in_flight ->
+  fun event ~depth ~in_flight ->
     Metrics.set_max i.p_depth_hw depth;
-    Metrics.set_max i.p_deque_hw deque;
     Metrics.set_max i.p_in_flight_hw in_flight;
     match event with
     | `Submit -> Metrics.incr i.p_submitted
     | `Start -> ()
     | `Finish -> Metrics.incr i.p_completed
-    | `Steal ->
-        Metrics.incr i.p_steal_attempts;
-        Metrics.incr i.p_steals
-    | `Steal_miss -> Metrics.incr i.p_steal_attempts
     | `Park -> Metrics.incr i.p_parks
-    | `Wake -> Metrics.incr i.p_wakes
 
 let pool_stats registry (st : Stdx.Pool.stats) =
   let i = pool_instruments registry in
   Metrics.set_max i.p_depth_hw st.depth;
-  Metrics.set_max i.p_deque_hw st.deque_depth;
   Metrics.set_max i.p_in_flight_hw st.in_flight;
   (* Lifetime totals from the pool are authoritative: the snapshot may
      be the only publication (no probe installed), so reconcile the
@@ -167,7 +142,4 @@ let pool_stats registry (st : Stdx.Pool.stats) =
   in
   top_up i.p_submitted st.submitted;
   top_up i.p_completed st.completed;
-  top_up i.p_steal_attempts st.steal_attempts;
-  top_up i.p_steals st.steals;
-  top_up i.p_parks st.parks;
-  top_up i.p_wakes st.wakes
+  top_up i.p_parks st.parks

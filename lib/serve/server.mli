@@ -43,9 +43,6 @@ type config = {
   socket_path : string;
   tcp : (string * int) option;  (** bind address, port *)
   jobs : int;  (** domain-pool width for request execution *)
-  scheduler : Stdx.Pool.scheduler;
-      (** pool implementation backing the request pool (scheduling
-          only — replies are bit-identical across schedulers) *)
   queue_limit : int;  (** backpressure bound *)
   cache_capacity : int;  (** compiled-program LRU entries *)
   admission : admission;
@@ -67,7 +64,6 @@ type config = {
 val config :
   ?tcp:string * int ->
   ?jobs:int ->
-  ?scheduler:Stdx.Pool.scheduler ->
   ?queue_limit:int ->
   ?cache_capacity:int ->
   ?admission:admission ->
@@ -82,7 +78,6 @@ val config :
   unit ->
   config
 (** Defaults: no TCP, [jobs] = {!Stdx.Pool.recommended_jobs},
-    [scheduler] = {!Stdx.Pool.default_scheduler},
     [queue_limit] = 64, [cache_capacity] = 32, admission off,
     [max_fuel] = 100_000_000, [max_step_budget] = 100_000_000, no
     default deadline, no idle timeout, [retry_after_ms] = 50,

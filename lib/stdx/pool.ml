@@ -1,65 +1,43 @@
-type probe_event =
-  [ `Submit | `Start | `Finish | `Steal | `Steal_miss | `Park | `Wake ]
-
-type probe = probe_event -> depth:int -> deque:int -> in_flight:int -> unit
+type probe_event = [ `Submit | `Start | `Finish | `Park ]
+type probe = probe_event -> depth:int -> in_flight:int -> unit
 
 type stats = {
   depth : int;
-  deque_depth : int;
   in_flight : int;
   submitted : int;
   completed : int;
   steal_attempts : int;
   steals : int;
   parks : int;
-  wakes : int;
 }
 
 let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 
-module type S = sig
-  type t
+let capture f x =
+  match f x with
+  | v -> Ok v
+  | exception e -> Error (e, Printexc.get_raw_backtrace ())
 
-  val create : ?jobs:int -> unit -> t
-  val jobs : t -> int
-  val set_probe : t -> probe option -> unit
-  val stats : t -> stats
-  val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-  val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
+let unwrap = function
+  | Ok v -> v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-  type 'a future
-
-  val async : t -> (unit -> 'a) -> 'a future
-  val await : t -> 'a future -> 'a
-  val poll : 'a future -> bool
-  val shutdown : t -> unit
-  val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-end
-
-type task = unit -> unit
-
-(* Shared single-shot result box: both schedulers resolve futures the
-   same way, under the future's own mutex/condition so an [await]er
-   that ran out of work to help with can sleep without touching any
-   scheduler lock. *)
+(* Single-shot result box, resolved under its own mutex/condition so an
+   [await]er that ran out of work to help with can sleep without
+   holding the pool lock. *)
 module Future = struct
-  type 'a state =
-    | Pending
-    | Done of 'a
-    | Failed of exn * Printexc.raw_backtrace
-
   type 'a t = {
     mutex : Mutex.t;
     cond : Condition.t;
-    mutable state : 'a state;
+    mutable state : ('a, exn * Printexc.raw_backtrace) result option;
   }
 
   let make () =
-    { mutex = Mutex.create (); cond = Condition.create (); state = Pending }
+    { mutex = Mutex.create (); cond = Condition.create (); state = None }
 
-  let resolve fut state =
+  let resolve fut r =
     Mutex.lock fut.mutex;
-    fut.state <- state;
+    fut.state <- Some r;
     Condition.broadcast fut.cond;
     Mutex.unlock fut.mutex
 
@@ -69,902 +47,246 @@ module Future = struct
     Mutex.unlock fut.mutex;
     s
 
-  let poll fut =
-    match peek fut with Pending -> false | Done _ | Failed _ -> true
-
   (* Block until resolved; used only once helping found nothing
      runnable, i.e. the task is in flight on another domain. *)
   let wait fut =
     Mutex.lock fut.mutex;
     let rec loop () =
       match fut.state with
-      | Pending ->
+      | None ->
           Condition.wait fut.cond fut.mutex;
           loop ()
-      | s -> s
+      | Some r -> r
     in
-    let s = loop () in
+    let r = loop () in
     Mutex.unlock fut.mutex;
-    s
-
-  let unbox = function
-    | Done v -> v
-    | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-    | Pending -> assert false
+    r
 end
 
-(* The original scheduler: one mutex/condition pair guarding a central
-   FIFO.  Kept as the reference implementation the stealer is
-   differential-tested against. *)
-module Locked : S = struct
-  type t = {
-    mutex : Mutex.t;
-    (* signaled when a task is queued or [stop] is set *)
-    work : Condition.t;
-    queue : task Queue.t;
-    mutable stop : bool;
-    mutable workers : unit Domain.t list;
-    jobs : int;
-    (* queue-depth / tasks-in-flight instrumentation: all counters are
-       guarded by [mutex] (every transition already holds it), and the
-       optional probe fires inside the same critical section so its
-       depth/in-flight arguments are exact, never torn. *)
-    mutable in_flight : int;
-    mutable submitted : int;
-    mutable completed : int;
-    mutable probe : probe option;
-  }
+(* A queued task does its work outside the pool lock and returns its
+   publication step (store the result, wake the waiter).  The domain
+   that ran it calls that step inside the same critical section that
+   retires the task, so no waiter can observe a result while the pool
+   still counts its task as in flight. *)
+type task = unit -> unit -> unit
 
-  let notify t event =
-    match t.probe with
-    | None -> ()
-    | Some f ->
-        let depth = Queue.length t.queue in
-        f event ~depth ~deque:depth ~in_flight:t.in_flight
+type t = {
+  mutex : Mutex.t;
+  (* signaled when a task is queued or [stop] is set *)
+  work : Condition.t;
+  queue : task Queue.t;
+  mutable stop : bool;
+  mutable workers : unit Domain.t list;
+  jobs : int;
+  (* Every counter is guarded by [mutex] (every transition already
+     holds it), and the probe fires inside the same critical section,
+     so its depth/in-flight arguments are exact, never torn. *)
+  mutable in_flight : int;
+  mutable submitted : int;
+  mutable completed : int;
+  mutable parks : int;
+  mutable probe : probe option;
+}
 
-  (* Tasks are pre-wrapped by [map_array] and never raise; a worker
-     loops until shutdown. *)
-  let worker_loop t =
-    let rec next () =
-      Mutex.lock t.mutex;
-      let rec take () =
-        if t.stop then None
-        else
-          match Queue.take_opt t.queue with
-          | Some task -> Some task
-          | None ->
-              Condition.wait t.work t.mutex;
-              take ()
-      in
-      let task = take () in
-      (match task with
-      | Some _ ->
-          t.in_flight <- t.in_flight + 1;
-          notify t `Start
-      | None -> ());
-      Mutex.unlock t.mutex;
-      match task with
-      | None -> ()
-      | Some task ->
-          task ();
-          Mutex.lock t.mutex;
-          t.in_flight <- t.in_flight - 1;
-          t.completed <- t.completed + 1;
-          notify t `Finish;
-          Mutex.unlock t.mutex;
-          next ()
-    in
-    next ()
+let notify t event =
+  match t.probe with
+  | None -> ()
+  | Some f -> f event ~depth:(Queue.length t.queue) ~in_flight:t.in_flight
 
-  let create ?(jobs = recommended_jobs ()) () =
-    let jobs = max 1 jobs in
-    let t =
-      {
-        mutex = Mutex.create ();
-        work = Condition.create ();
-        queue = Queue.create ();
-        stop = false;
-        workers = [];
-        jobs;
-        in_flight = 0;
-        submitted = 0;
-        completed = 0;
-        probe = None;
-      }
-    in
-    if jobs > 1 then
-      t.workers <-
-        List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-    t
+let enqueue t task =
+  Queue.add task t.queue;
+  t.submitted <- t.submitted + 1;
+  notify t `Submit
 
-  let jobs t = t.jobs
+(* Run one dequeued task.  Called and returns with [t.mutex] held;
+   the task's work runs unlocked.  Tasks are pre-wrapped and never
+   raise. *)
+let run_locked t (task : task) =
+  t.in_flight <- t.in_flight + 1;
+  notify t `Start;
+  Mutex.unlock t.mutex;
+  let publish = task () in
+  Mutex.lock t.mutex;
+  t.in_flight <- t.in_flight - 1;
+  t.completed <- t.completed + 1;
+  notify t `Finish;
+  publish ()
 
-  let set_probe t p =
-    Mutex.lock t.mutex;
-    t.probe <- p;
-    Mutex.unlock t.mutex
-
-  let stats t =
-    Mutex.lock t.mutex;
-    let s =
-      {
-        depth = Queue.length t.queue;
-        deque_depth = Queue.length t.queue;
-        in_flight = t.in_flight;
-        submitted = t.submitted;
-        completed = t.completed;
-        steal_attempts = 0;
-        steals = 0;
-        parks = 0;
-        wakes = 0;
-      }
-    in
-    Mutex.unlock t.mutex;
-    s
-
-  let check_alive t op =
-    if t.stop then invalid_arg (Printf.sprintf "Pool.%s: pool is shut down" op)
-
-  (* Run one task inline on the calling domain, with full accounting,
-     re-raising with the original backtrace. *)
-  let run_inline t f x =
-    Mutex.lock t.mutex;
-    t.submitted <- t.submitted + 1;
-    notify t `Submit;
-    t.in_flight <- t.in_flight + 1;
-    notify t `Start;
-    Mutex.unlock t.mutex;
-    let finish () =
-      Mutex.lock t.mutex;
-      t.in_flight <- t.in_flight - 1;
-      t.completed <- t.completed + 1;
-      notify t `Finish;
-      Mutex.unlock t.mutex
-    in
-    match f x with
-    | v ->
-        finish ();
-        v
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        finish ();
-        Printexc.raise_with_backtrace e bt
-
-  let map_array t f arr =
-    check_alive t "map_array";
-    let n = Array.length arr in
-    if n = 0 then [||]
-    else if t.jobs = 1 || n = 1 then Array.map (fun x -> run_inline t f x) arr
-    else begin
-      let results = Array.make n None in
-      let remaining = ref n in
-      let finished = Condition.create () in
-      let run_one i () =
-        let r =
-          match f arr.(i) with
-          | v -> Ok v
-          | exception e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        Mutex.lock t.mutex;
-        results.(i) <- Some r;
-        decr remaining;
-        if !remaining = 0 then Condition.broadcast finished;
-        Mutex.unlock t.mutex
-      in
-      Mutex.lock t.mutex;
-      for i = 0 to n - 1 do
-        Queue.add (run_one i) t.queue;
-        t.submitted <- t.submitted + 1;
-        notify t `Submit
-      done;
-      Condition.broadcast t.work;
-      (* The submitting domain helps drain the queue rather than
-         blocking — this is what makes nested [map_array] calls from
-         inside tasks safe on a narrow pool. *)
-      let rec help () =
-        if !remaining > 0 then
-          match Queue.take_opt t.queue with
-          | Some task ->
-              t.in_flight <- t.in_flight + 1;
-              notify t `Start;
-              Mutex.unlock t.mutex;
-              task ();
-              Mutex.lock t.mutex;
-              t.in_flight <- t.in_flight - 1;
-              t.completed <- t.completed + 1;
-              notify t `Finish;
-              help ()
-          | None ->
-              (* Queue drained but stragglers are in flight on other
-                 domains: wait for the batch to complete. *)
-              while !remaining > 0 do
-                Condition.wait finished t.mutex
-              done
-      in
-      help ();
-      Mutex.unlock t.mutex;
-      let out =
-        Array.map
-          (function
-            | Some (Ok v) -> `Ok v
-            | Some (Error (e, bt)) -> `Err (e, bt)
-            | None -> assert false)
-          results
-      in
-      (* Re-raise the lowest-indexed failure, if any — deterministic no
-         matter which domain hit it first. *)
-      Array.iter
-        (function
-          | `Err (e, bt) -> Printexc.raise_with_backtrace e bt | `Ok _ -> ())
-        out;
-      Array.map (function `Ok v -> v | `Err _ -> assert false) out
-    end
-
-  let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
-
-  type 'a future = 'a Future.t
-
-  let async t f =
-    check_alive t "async";
-    let fut = Future.make () in
-    if t.jobs = 1 then begin
-      let state =
-        match run_inline t f () with
-        | v -> Future.Done v
-        | exception e -> Future.Failed (e, Printexc.get_raw_backtrace ())
-      in
-      Future.resolve fut state;
-      fut
-    end
-    else begin
-      let run () =
-        let state =
-          match f () with
-          | v -> Future.Done v
-          | exception e -> Future.Failed (e, Printexc.get_raw_backtrace ())
-        in
-        Future.resolve fut state
-      in
-      Mutex.lock t.mutex;
-      Queue.add run t.queue;
-      t.submitted <- t.submitted + 1;
-      notify t `Submit;
-      Condition.signal t.work;
-      Mutex.unlock t.mutex;
-      fut
-    end
-
-  let poll = Future.poll
-
-  let await t fut =
-    match Future.peek fut with
-    | (Future.Done _ | Future.Failed _) as s -> Future.unbox s
-    | Future.Pending ->
-        (* Help: drain queued tasks (any tasks — helping is what keeps
-           futures awaiting futures deadlock-free) until the future
-           resolves or the queue runs dry. *)
-        let rec help () =
-          match Future.peek fut with
-          | (Future.Done _ | Future.Failed _) as s -> Future.unbox s
-          | Future.Pending -> (
-              Mutex.lock t.mutex;
-              let task = Queue.take_opt t.queue in
-              (match task with
-              | Some _ ->
-                  t.in_flight <- t.in_flight + 1;
-                  notify t `Start
-              | None -> ());
-              Mutex.unlock t.mutex;
-              match task with
-              | Some task ->
-                  task ();
-                  Mutex.lock t.mutex;
-                  t.in_flight <- t.in_flight - 1;
-                  t.completed <- t.completed + 1;
-                  notify t `Finish;
-                  Mutex.unlock t.mutex;
-                  help ()
-              | None ->
-                  (* Nothing runnable: the task is in flight on another
-                     domain.  Sleep on the future's own condition. *)
-                  Future.unbox (Future.wait fut))
-        in
-        help ()
-
-  let shutdown t =
-    Mutex.lock t.mutex;
-    let ws = t.workers in
-    t.workers <- [];
-    t.stop <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join ws
-
-  let with_pool ?jobs f =
-    let t = create ?jobs () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-end
-
-(* The work-stealing scheduler.
-
-   Topology: [jobs] Chase–Lev deques.  Deque 0 belongs to submitting
-   threads (the "submitter owns a deque too" re-expression of helping);
-   deques 1..jobs-1 each belong to exactly one worker domain.  Owners
-   push and pop LIFO at the bottom; thieves steal FIFO at the top with
-   a single compare-and-set on [top].
-
-   One asymmetry: worker deques have a true single owner (the worker
-   domain), so owner operations there are lock-free.  Deque 0 does
-   not — the serve daemon submits from several systhreads of the main
-   domain, and tests submit from whatever context they like — so owner
-   operations on deque 0 alone are serialized by [sub_mutex].  Thieves
-   never take that lock; stealing from deque 0 stays lock-free.
-
-   Parking: a worker that found nothing to pop or steal sleeps on
-   [park_cond], guarded by an epoch counter.  Every push bumps [epoch]
-   (atomically) and wakes sleepers if any; a worker about to park
-   re-reads the epoch under [park_mutex] after a final exhaustive steal
-   sweep, and refuses to sleep if the epoch moved.  Because the atomics
-   are sequentially consistent this cannot lose a wakeup: a push either
-   lands before the worker's final sweep (the sweep finds it — sweeps
-   only skip a victim on a confirmed-empty read, retrying lost CAS
-   races) or after the worker's epoch read (the recheck sees the bump
-   and the worker does not sleep).  See DESIGN.md §16. *)
-module Steal : S = struct
-  (* A growable circular Chase–Lev deque (Chase & Lev, SPAA 2005), in
-     the style of domainslib's ws_deque.  OCaml's GC stands in for the
-     reclamation side of the original algorithm, and sequentially
-     consistent atomics for its fences. *)
-  module Deque = struct
-    let no_task : task = fun () -> ()
-
-    type t = {
-      top : int Atomic.t;  (* next index thieves take from *)
-      bottom : int Atomic.t;  (* next index the owner pushes at *)
-      buf : task array Atomic.t;  (* circular; length always a power of 2 *)
-    }
-
-    type steal_result = Empty | Lost | Stolen of task
-
-    let create () =
-      {
-        top = Atomic.make 0;
-        bottom = Atomic.make 0;
-        buf = Atomic.make (Array.make 16 no_task);
-      }
-
-    let size d = max 0 (Atomic.get d.bottom - Atomic.get d.top)
-
-    (* Owner only.  The old buffer is copied, never mutated, so a
-       concurrent thief holding it still reads valid tasks. *)
-    let grow d b t a =
-      let n = Array.length a in
-      let a' = Array.make (2 * n) no_task in
-      for i = t to b - 1 do
-        a'.(i land ((2 * n) - 1)) <- a.(i land (n - 1))
-      done;
-      Atomic.set d.buf a';
-      a'
-
-    (* Owner only. *)
-    let push d task =
-      let b = Atomic.get d.bottom in
-      let t = Atomic.get d.top in
-      let a = Atomic.get d.buf in
-      let a = if b - t >= Array.length a then grow d b t a else a in
-      a.(b land (Array.length a - 1)) <- task;
-      Atomic.set d.bottom (b + 1)
-
-    (* Owner only. *)
-    let pop d =
-      let b = Atomic.get d.bottom - 1 in
-      Atomic.set d.bottom b;
-      let t = Atomic.get d.top in
-      if b < t then begin
-        (* Already empty. *)
-        Atomic.set d.bottom t;
-        None
-      end
-      else begin
-        let a = Atomic.get d.buf in
-        let i = b land (Array.length a - 1) in
-        let task = a.(i) in
-        if b > t then begin
-          (* More than one element: no thief can be reading slot [i]
-             (they contend below [bottom - 1]), so clearing it is safe
-             and keeps the closure from outliving its batch. *)
-          a.(i) <- no_task;
-          Some task
-        end
-        else begin
-          (* Last element: race the thieves for it via [top]. *)
-          let won = Atomic.compare_and_set d.top t (t + 1) in
-          Atomic.set d.bottom (t + 1);
-          if won then Some task else None
-        end
-      end
-
-    (* Any thief.  [Lost] means a concurrent pop/steal won the race for
-       index [t]; the deque may still be non-empty, so callers retry
-       the same victim until [Empty] or [Stolen] — that confirmed-empty
-       discipline is what the parking argument relies on. *)
-    let steal d =
-      let t = Atomic.get d.top in
-      let b = Atomic.get d.bottom in
-      if b - t <= 0 then Empty
-      else begin
-        let a = Atomic.get d.buf in
-        let task = a.(t land (Array.length a - 1)) in
-        (* If the owner overwrote slot [t] (buffer wrap) then some thief
-           already advanced [top] past [t], so this CAS fails and the
-           possibly-stale read is discarded. *)
-        if Atomic.compare_and_set d.top t (t + 1) then Stolen task else Lost
-      end
-  end
-
-  type t = {
-    uid : int;  (* key for the domain-local deque registry *)
-    jobs : int;
-    deques : Deque.t array;  (* .(0) = submitters, .(k >= 1) = worker k *)
-    sub_mutex : Mutex.t;  (* serializes owner ops on deques.(0) only *)
-    park_mutex : Mutex.t;
-    park_cond : Condition.t;
-    epoch : int Atomic.t;  (* bumped by every push *)
-    parked : int Atomic.t;  (* workers currently asleep *)
-    stop : bool Atomic.t;
-    mutable workers : unit Domain.t list;
-    in_flight : int Atomic.t;
-    submitted : int Atomic.t;
-    completed : int Atomic.t;
-    steal_attempts : int Atomic.t;
-    steals : int Atomic.t;
-    parks : int Atomic.t;
-    wakes : int Atomic.t;
-    probe : probe option Atomic.t;
-  }
-
-  let next_uid = Atomic.make 0
-
-  (* Which deque does the calling domain own, per pool?  Workers
-     register themselves at spawn; every other domain (the submitter,
-     serve's systhreads, test runners) maps to deque 0. *)
-  let dls_key : (int * int) list ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref [])
-
-  let my_index t =
-    match List.assoc_opt t.uid !(Domain.DLS.get dls_key) with
-    | Some k -> k
-    | None -> 0
-
-  let register_index t k =
-    let regs = Domain.DLS.get dls_key in
-    regs := (t.uid, k) :: !regs
-
-  let depths t =
-    let total = ref 0 and deepest = ref 0 in
-    Array.iter
-      (fun d ->
-        let s = Deque.size d in
-        total := !total + s;
-        if s > !deepest then deepest := s)
-      t.deques;
-    (!total, !deepest)
-
-  let notify t event =
-    match Atomic.get t.probe with
-    | None -> ()
-    | Some f ->
-        let depth, deque = depths t in
-        f event ~depth ~deque ~in_flight:(Atomic.get t.in_flight)
-
-  (* Owner operations, routed through [sub_mutex] for deque 0 (shared
-     between the main domain's systhreads) and lock-free for the true
-     single-owner worker deques. *)
-  let own_push t k task =
-    if k = 0 then begin
-      Mutex.lock t.sub_mutex;
-      Deque.push t.deques.(0) task;
-      Mutex.unlock t.sub_mutex
-    end
-    else Deque.push t.deques.(k) task
-
-  let own_pop t k =
-    if k = 0 then begin
-      Mutex.lock t.sub_mutex;
-      let r = Deque.pop t.deques.(0) in
-      Mutex.unlock t.sub_mutex;
-      r
-    end
-    else Deque.pop t.deques.(k)
-
-  (* Scheduling-only xorshift: victim order must not be a convoy (every
-     thief hammering deque 0 first), and seeding it from the thief's
-     identity keeps a run's steal pattern reproducible for a given
-     interleaving.  Results never depend on it — only placement does. *)
-  let rng_seed k = (0x9E3779B9 * (k + 1)) lxor 0x2545F491
-
-  let rng_next st =
-    let x = !st in
-    let x = x lxor (x lsl 13) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor (x lsl 17) in
-    st := x;
-    x land max_int
-
-  (* One exhaustive steal sweep: every deque except [self], starting
-     from a random victim, retrying a victim on a lost race so that
-     [None] means every other deque was observed empty. *)
-  let try_steal t ~self ~rng =
-    let n = Array.length t.deques in
-    let rec probe_victim v =
-      Atomic.incr t.steal_attempts;
-      match Deque.steal t.deques.(v) with
-      | Deque.Stolen task ->
-          Atomic.incr t.steals;
-          notify t `Steal;
-          Some task
-      | Deque.Lost -> probe_victim v
-      | Deque.Empty ->
-          notify t `Steal_miss;
-          None
-    in
-    if n <= 1 then None
-    else begin
-      let start = rng_next rng mod n in
-      let rec scan i =
-        if i = n then None
-        else
-          let v = (start + i) mod n in
-          if v = self then scan (i + 1)
-          else
-            match probe_victim v with
-            | Some task -> Some task
-            | None -> scan (i + 1)
-      in
-      scan 0
-    end
-
-  (* Execute one task.  The task closure itself performs the finish
-     accounting (completed/in_flight/`Finish) *before* signaling its
-     batch or future, so a caller woken by the completion observes
-     fully-updated totals. *)
-  let exec_task t task =
-    Atomic.incr t.in_flight;
-    notify t `Start;
-    task ()
-
-  let finish_accounting t =
-    Atomic.decr t.in_flight;
-    Atomic.incr t.completed;
-    notify t `Finish
-
-  let enqueue t task =
-    let k = my_index t in
-    own_push t k task;
-    Atomic.incr t.submitted;
-    notify t `Submit;
-    Atomic.incr t.epoch;
-    if Atomic.get t.parked > 0 then begin
-      Mutex.lock t.park_mutex;
-      Condition.broadcast t.park_cond;
-      Mutex.unlock t.park_mutex
-    end
-
-  let worker_loop t k =
-    register_index t k;
-    let rng = ref (rng_seed k) in
-    let rec loop () =
-      if Atomic.get t.stop then ()
-      else
-        match Deque.pop t.deques.(k) with
-        | Some task ->
-            exec_task t task;
-            loop ()
-        | None -> (
-            match try_steal t ~self:k ~rng with
-            | Some task ->
-                exec_task t task;
-                loop ()
-            | None ->
-                park ();
-                loop ())
-    and park () =
-      let e = Atomic.get t.epoch in
-      (* Final sweep after reading the epoch: a task pushed before the
-         read is found here (the sweep only passes a deque on a
-         confirmed-empty read), and one pushed after it bumps the
-         epoch, so the recheck below refuses to sleep.  Our own deque
-         needs no sweep — only its owner pushes there, and we are its
-         owner. *)
-      match try_steal t ~self:k ~rng with
-      | Some task -> exec_task t task
+let worker_loop t =
+  Mutex.lock t.mutex;
+  let rec loop () =
+    if not t.stop then begin
+      (match Queue.take_opt t.queue with
+      | Some task -> run_locked t task
       | None ->
-          if not (Atomic.get t.stop) then begin
-            Mutex.lock t.park_mutex;
-            Atomic.incr t.parked;
-            if Atomic.get t.epoch = e && not (Atomic.get t.stop) then begin
-              Atomic.incr t.parks;
-              notify t `Park;
-              Condition.wait t.park_cond t.park_mutex;
-              Atomic.incr t.wakes;
-              notify t `Wake
-            end;
-            Atomic.decr t.parked;
-            Mutex.unlock t.park_mutex
-          end
-    in
-    loop ()
+          t.parks <- t.parks + 1;
+          notify t `Park;
+          Condition.wait t.work t.mutex);
+      loop ()
+    end
+  in
+  loop ();
+  Mutex.unlock t.mutex
 
-  let create ?(jobs = recommended_jobs ()) () =
-    let jobs = max 1 jobs in
-    let t =
-      {
-        uid = Atomic.fetch_and_add next_uid 1;
-        jobs;
-        deques = Array.init jobs (fun _ -> Deque.create ());
-        sub_mutex = Mutex.create ();
-        park_mutex = Mutex.create ();
-        park_cond = Condition.create ();
-        epoch = Atomic.make 0;
-        parked = Atomic.make 0;
-        stop = Atomic.make false;
-        workers = [];
-        in_flight = Atomic.make 0;
-        submitted = Atomic.make 0;
-        completed = Atomic.make 0;
-        steal_attempts = Atomic.make 0;
-        steals = Atomic.make 0;
-        parks = Atomic.make 0;
-        wakes = Atomic.make 0;
-        probe = Atomic.make None;
-      }
-    in
-    if jobs > 1 then
-      t.workers <-
-        List.init (jobs - 1) (fun i ->
-            Domain.spawn (fun () -> worker_loop t (i + 1)));
-    t
-
-  let jobs t = t.jobs
-  let set_probe t p = Atomic.set t.probe p
-
-  let stats t =
-    let depth, deque_depth = depths t in
+let create ?(jobs = recommended_jobs ()) () =
+  let jobs = max 1 jobs in
+  let t =
     {
-      depth;
-      deque_depth;
-      in_flight = Atomic.get t.in_flight;
-      submitted = Atomic.get t.submitted;
-      completed = Atomic.get t.completed;
-      steal_attempts = Atomic.get t.steal_attempts;
-      steals = Atomic.get t.steals;
-      parks = Atomic.get t.parks;
-      wakes = Atomic.get t.wakes;
+      mutex = Mutex.create ();
+      work = Condition.create ();
+      queue = Queue.create ();
+      stop = false;
+      workers = [];
+      jobs;
+      in_flight = 0;
+      submitted = 0;
+      completed = 0;
+      parks = 0;
+      probe = None;
     }
+  in
+  if jobs > 1 then
+    t.workers <-
+      List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  t
 
-  let check_alive t op =
-    if Atomic.get t.stop then
-      invalid_arg (Printf.sprintf "Pool.%s: pool is shut down" op)
+let jobs t = t.jobs
 
-  let run_inline t f x =
-    Atomic.incr t.submitted;
-    notify t `Submit;
-    Atomic.incr t.in_flight;
-    notify t `Start;
-    match f x with
-    | v ->
-        finish_accounting t;
-        v
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        finish_accounting t;
-        Printexc.raise_with_backtrace e bt
-
-  (* Help until [quiescent ()] turns true: pop own work LIFO, then
-     steal, and only when nothing is runnable anywhere hand control to
-     [sleep] (which blocks on the batch's or future's condition and
-     returns once signaled).  Helping from an owned deque is what keeps
-     nested maps and future-awaiting-future chains deadlock-free: the
-     dependency's task is either in some deque (the exhaustive sweep
-     finds it) or already running on another domain (sleeping is then
-     productive, and bounded by that task's completion). *)
-  let rec help t ~self ~rng ~quiescent ~sleep =
-    if not (quiescent ()) then
-      match own_pop t self with
-      | Some task ->
-          exec_task t task;
-          help t ~self ~rng ~quiescent ~sleep
-      | None -> (
-          match try_steal t ~self ~rng with
-          | Some task ->
-              exec_task t task;
-              help t ~self ~rng ~quiescent ~sleep
-          | None ->
-              sleep ();
-              help t ~self ~rng ~quiescent ~sleep)
-
-  let map_array t f arr =
-    check_alive t "map_array";
-    let n = Array.length arr in
-    if n = 0 then [||]
-    else if t.jobs = 1 || n = 1 then Array.map (fun x -> run_inline t f x) arr
-    else begin
-      let results = Array.make n None in
-      let remaining = Atomic.make n in
-      let done_mutex = Mutex.create () in
-      let done_cond = Condition.create () in
-      let run_one i () =
-        let r =
-          match f arr.(i) with
-          | v -> Ok v
-          | exception e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        results.(i) <- Some r;
-        finish_accounting t;
-        (* The atomic decrement publishes the slot write above: a
-           reader that saw [remaining = 0] sees every result. *)
-        if Atomic.fetch_and_add remaining (-1) = 1 then begin
-          Mutex.lock done_mutex;
-          Condition.broadcast done_cond;
-          Mutex.unlock done_mutex
-        end
-      in
-      for i = 0 to n - 1 do
-        enqueue t (run_one i)
-      done;
-      let self = my_index t in
-      let rng = ref (rng_seed (self + 0x51)) in
-      help t ~self ~rng
-        ~quiescent:(fun () -> Atomic.get remaining = 0)
-        ~sleep:(fun () ->
-          Mutex.lock done_mutex;
-          while Atomic.get remaining > 0 do
-            Condition.wait done_cond done_mutex
-          done;
-          Mutex.unlock done_mutex);
-      let out =
-        Array.map
-          (function
-            | Some (Ok v) -> `Ok v
-            | Some (Error (e, bt)) -> `Err (e, bt)
-            | None -> assert false)
-          results
-      in
-      (* Re-raise the lowest-indexed failure, if any — deterministic no
-         matter which domain hit it first. *)
-      Array.iter
-        (function
-          | `Err (e, bt) -> Printexc.raise_with_backtrace e bt | `Ok _ -> ())
-        out;
-      Array.map (function `Ok v -> v | `Err _ -> assert false) out
-    end
-
-  let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
-
-  type 'a future = 'a Future.t
-
-  let async t f =
-    check_alive t "async";
-    let fut = Future.make () in
-    if t.jobs = 1 then begin
-      let state =
-        match run_inline t f () with
-        | v -> Future.Done v
-        | exception e -> Future.Failed (e, Printexc.get_raw_backtrace ())
-      in
-      Future.resolve fut state;
-      fut
-    end
-    else begin
-      let run () =
-        let state =
-          match f () with
-          | v -> Future.Done v
-          | exception e -> Future.Failed (e, Printexc.get_raw_backtrace ())
-        in
-        finish_accounting t;
-        Future.resolve fut state
-      in
-      enqueue t run;
-      fut
-    end
-
-  let poll = Future.poll
-
-  let await t fut =
-    match Future.peek fut with
-    | (Future.Done _ | Future.Failed _) as s -> Future.unbox s
-    | Future.Pending ->
-        let self = my_index t in
-        let rng = ref (rng_seed (self + 0xA7)) in
-        help t ~self ~rng
-          ~quiescent:(fun () -> Future.poll fut)
-          ~sleep:(fun () -> ignore (Future.wait fut));
-        Future.unbox (Future.peek fut)
-
-  let shutdown t =
-    Atomic.set t.stop true;
-    Mutex.lock t.park_mutex;
-    Condition.broadcast t.park_cond;
-    Mutex.unlock t.park_mutex;
-    let ws = t.workers in
-    t.workers <- [];
-    List.iter Domain.join ws
-
-  let with_pool ?jobs f =
-    let t = create ?jobs () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-end
-
-type scheduler = Locked | Steal
-
-let default_scheduler = Steal
-let schedulers = [ ("locked", Locked); ("steal", Steal) ]
-let scheduler_name = function Locked -> "locked" | Steal -> "steal"
-
-let scheduler_of_string s =
-  List.assoc_opt (String.lowercase_ascii (String.trim s)) schedulers
-
-(* The facade: a first-class scheduler value picks the implementation
-   at [create] time; everything downstream stays signature-only. *)
-type impl = I_locked of Locked.t | I_steal of Steal.t
-type t = { sched : scheduler; impl : impl }
-
-let create ?(scheduler = default_scheduler) ?jobs () =
-  match scheduler with
-  | Locked -> { sched = Locked; impl = I_locked (Locked.create ?jobs ()) }
-  | Steal -> { sched = Steal; impl = I_steal (Steal.create ?jobs ()) }
-
-let scheduler t = t.sched
-
-let jobs t =
-  match t.impl with I_locked p -> Locked.jobs p | I_steal p -> Steal.jobs p
-
-let set_probe t probe =
-  match t.impl with
-  | I_locked p -> Locked.set_probe p probe
-  | I_steal p -> Steal.set_probe p probe
+let set_probe t p =
+  Mutex.lock t.mutex;
+  t.probe <- p;
+  Mutex.unlock t.mutex
 
 let stats t =
-  match t.impl with I_locked p -> Locked.stats p | I_steal p -> Steal.stats p
+  Mutex.lock t.mutex;
+  let s =
+    {
+      depth = Queue.length t.queue;
+      in_flight = t.in_flight;
+      submitted = t.submitted;
+      completed = t.completed;
+      steal_attempts = 0;
+      steals = 0;
+      parks = t.parks;
+    }
+  in
+  Mutex.unlock t.mutex;
+  s
+
+let check_alive t op =
+  if t.stop then invalid_arg (Printf.sprintf "Pool.%s: pool is shut down" op)
+
+(* Run one task inline on the calling domain, with full accounting;
+   the outcome comes back captured, never raised. *)
+let run_inline t f x =
+  let r = ref None in
+  Mutex.lock t.mutex;
+  t.submitted <- t.submitted + 1;
+  notify t `Submit;
+  run_locked t (fun () ->
+      r := Some (capture f x);
+      ignore);
+  Mutex.unlock t.mutex;
+  Option.get !r
 
 let map_array t f arr =
-  match t.impl with
-  | I_locked p -> Locked.map_array p f arr
-  | I_steal p -> Steal.map_array p f arr
+  check_alive t "map_array";
+  let n = Array.length arr in
+  if n = 0 then [||]
+  else if t.jobs = 1 || n = 1 then
+    Array.map (fun x -> unwrap (run_inline t f x)) arr
+  else begin
+    let results = Array.make n None in
+    let remaining = ref n in
+    let finished = Condition.create () in
+    let task i () =
+      let r = capture f arr.(i) in
+      fun () ->
+        results.(i) <- Some r;
+        decr remaining;
+        if !remaining = 0 then Condition.broadcast finished
+    in
+    Mutex.lock t.mutex;
+    for i = 0 to n - 1 do
+      enqueue t (task i)
+    done;
+    Condition.broadcast t.work;
+    (* The submitting domain helps drain the queue rather than
+       blocking — this is what makes nested [map_array] calls from
+       inside tasks safe on a narrow pool. *)
+    let rec help () =
+      if !remaining > 0 then
+        match Queue.take_opt t.queue with
+        | Some task ->
+            run_locked t task;
+            help ()
+        | None ->
+            (* Queue drained but stragglers are in flight on other
+               domains: wait for the batch to complete. *)
+            while !remaining > 0 do
+              Condition.wait finished t.mutex
+            done
+    in
+    help ();
+    Mutex.unlock t.mutex;
+    (* Re-raise the lowest-indexed failure, if any — deterministic no
+       matter which domain hit it first. *)
+    Array.iter
+      (function
+        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt | _ -> ())
+      results;
+    Array.map (function Some (Ok v) -> v | _ -> assert false) results
+  end
 
-let map_list t f l =
-  match t.impl with
-  | I_locked p -> Locked.map_list p f l
-  | I_steal p -> Steal.map_list p f l
+let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
 
-(* Futures cross the facade as closures so ['a future] stays a single
-   type no matter which implementation minted it. *)
-type 'a future = { f_poll : unit -> bool; f_await : unit -> 'a }
+type 'a future = 'a Future.t
 
 let async t f =
-  match t.impl with
-  | I_locked p ->
-      let fut = Locked.async p f in
-      {
-        f_poll = (fun () -> Locked.poll fut);
-        f_await = (fun () -> Locked.await p fut);
-      }
-  | I_steal p ->
-      let fut = Steal.async p f in
-      {
-        f_poll = (fun () -> Steal.poll fut);
-        f_await = (fun () -> Steal.await p fut);
-      }
+  check_alive t "async";
+  let fut = Future.make () in
+  if t.jobs = 1 then Future.resolve fut (run_inline t f ())
+  else begin
+    Mutex.lock t.mutex;
+    enqueue t (fun () ->
+        let r = capture f () in
+        fun () -> Future.resolve fut r);
+    Condition.signal t.work;
+    Mutex.unlock t.mutex
+  end;
+  fut
 
-let poll fut = fut.f_poll ()
-let await _t fut = fut.f_await ()
+let poll fut = Option.is_some (Future.peek fut)
+
+let await t fut =
+  (* Help: run queued tasks (any tasks — helping is what keeps futures
+     awaiting futures deadlock-free) until the future resolves or the
+     queue runs dry. *)
+  let rec help () =
+    match Future.peek fut with
+    | Some r -> unwrap r
+    | None ->
+        Mutex.lock t.mutex;
+        let task = Queue.take_opt t.queue in
+        Option.iter (run_locked t) task;
+        Mutex.unlock t.mutex;
+        if Option.is_some task then help ()
+        else
+          (* Nothing runnable: the task is in flight on another
+             domain.  Sleep on the future's own condition. *)
+          unwrap (Future.wait fut)
+  in
+  help ()
 
 let shutdown t =
-  match t.impl with
-  | I_locked p -> Locked.shutdown p
-  | I_steal p -> Steal.shutdown p
+  Mutex.lock t.mutex;
+  let ws = t.workers in
+  t.workers <- [];
+  t.stop <- true;
+  Condition.broadcast t.work;
+  Mutex.unlock t.mutex;
+  List.iter Domain.join ws
 
-let with_pool ?scheduler ?jobs f =
-  let t = create ?scheduler ?jobs () in
+let with_pool ?jobs f =
+  let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

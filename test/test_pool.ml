@@ -1,14 +1,12 @@
 (* The domain pool and the parallel fan-out built on it.  The contract
-   under test is determinism: for any --jobs value, either scheduler
-   and any scheduling, parallel runs must be bit-identical to
-   sequential ones — results, completeness tags, and the harness
-   Counters totals — and exceptions raised inside pool tasks must
-   surface exactly once, through the typed-error barrier, without
-   wedging the pool.
+   under test is determinism: for any --jobs value and any scheduling,
+   parallel runs must be bit-identical to sequential ones — results,
+   completeness tags, and the harness Counters totals — and exceptions
+   raised inside pool tasks must surface exactly once, through the
+   typed-error barrier, without wedging the pool.
 
-   The pool-level tests are a functor over {!Stdx.Pool.S} instantiated
-   for both implementations, so Locked and Steal are held to the exact
-   same sealed contract. *)
+   The pool-level cases are labelled "locked:" after the pool's
+   discipline: one mutex-guarded central queue. *)
 
 let pp_result fmt (r : Ilp.Analyze.result) =
   Format.fprintf fmt
@@ -34,220 +32,191 @@ let metric name snaps =
     snaps
 
 (* ------------------------------------------------------------------ *)
-(* The sealed contract, checked against any implementation. *)
+(* The pool contract. *)
 
-module Contract (P : Stdx.Pool.S) = struct
-  let test_map_order () =
-    P.with_pool ~jobs:4 (fun pool ->
-        let input = Array.init 100 (fun i -> i) in
-        (* uneven work so completion order differs from input order *)
-        let f i =
-          let acc = ref 0 in
-          for k = 0 to (i mod 7) * 1000 do
-            acc := !acc + k
-          done;
-          ignore !acc;
-          i * i
-        in
-        let got = P.map_array pool f input in
-        Alcotest.(check (array int))
-          "results in input order" (Array.map f input) got)
+module P = Stdx.Pool
 
-  let test_jobs_one_inline () =
-    P.with_pool ~jobs:1 (fun pool ->
-        Alcotest.(check int) "jobs clamped" 1 (P.jobs pool);
-        let got = P.map_list pool (fun x -> x + 1) [ 1; 2; 3 ] in
-        Alcotest.(check (list int)) "inline map" [ 2; 3; 4 ] got)
-
-  let test_exception_surfaces_and_pool_survives () =
-    P.with_pool ~jobs:3 (fun pool ->
-        (* The lowest-indexed failure is the one re-raised. *)
-        (match
-           P.map_array pool
-             (fun i -> if i mod 4 = 2 then failwith (string_of_int i) else i)
-             (Array.init 32 (fun i -> i))
-         with
-        | _ -> Alcotest.fail "expected Failure to propagate"
-        | exception Failure msg ->
-          Alcotest.(check string) "lowest-indexed exception" "2" msg);
-        (* The batch drained fully before re-raising: the pool is
-           quiescent and reusable. *)
-        let got = P.map_list pool (fun x -> 2 * x) [ 1; 2; 3 ] in
-        Alcotest.(check (list int)) "pool reusable" [ 2; 4; 6 ] got)
-
-  let test_nested_maps () =
-    P.with_pool ~jobs:2 (fun pool ->
-        (* A task that submits its own batch: the submitter helps drain
-           the queue, so this must complete rather than deadlock. *)
-        let got =
-          P.map_list pool
-            (fun i -> P.map_list pool (fun j -> (10 * i) + j) [ 1; 2; 3 ])
-            [ 1; 2 ]
-        in
-        Alcotest.(check (list (list int)))
-          "nested batches" [ [ 11; 12; 13 ]; [ 21; 22; 23 ] ] got)
-
-  let test_async_await () =
-    P.with_pool ~jobs:3 (fun pool ->
-        let futs = List.init 20 (fun i -> P.async pool (fun () -> i * 3)) in
-        let got = List.map (fun f -> P.await pool f) futs in
-        Alcotest.(check (list int))
-          "futures resolve in submission order"
-          (List.init 20 (fun i -> i * 3))
-          got;
-        (* a failed task is boxed, not fatal *)
-        let bad = P.async pool (fun () -> failwith "boxed") in
-        (match P.await pool bad with
-        | _ -> Alcotest.fail "expected the boxed Failure"
-        | exception Failure msg ->
-          Alcotest.(check string) "boxed exception surfaces" "boxed" msg);
-        let ok = P.async pool (fun () -> 7) in
-        Alcotest.(check int) "pool survives a failed future" 7
-          (P.await pool ok);
-        Alcotest.(check bool) "poll after await" true (P.poll ok))
-
-  let test_await_helps () =
-    (* jobs=2: one worker domain.  A future that awaits another future
-       can only finish if awaiting helps run queued tasks. *)
-    P.with_pool ~jobs:2 (fun pool ->
-        let inner = P.async pool (fun () -> 21) in
-        let outer = P.async pool (fun () -> 2 * P.await pool inner) in
-        Alcotest.(check int) "await helps instead of deadlocking" 42
-          (P.await pool outer))
-
-  let test_shutdown () =
-    let pool = P.create ~jobs:3 () in
-    P.shutdown pool;
-    P.shutdown pool;  (* idempotent *)
-    match P.map_list pool (fun x -> x) [ 1 ] with
-    | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
-    | exception Invalid_argument _ -> ()
-
-  (* The scheduler-transition probe and its Obs wiring:
-     submitted/completed totals are exact, the high-water gauges stay
-     within the pool's physical bounds, and the pool is quiescent
-     after a batch. *)
-  let test_probe_gauges () =
-    let reg = Obs.Metrics.create () in
-    let n = 40 in
-    P.with_pool ~jobs:3 (fun pool ->
-        P.set_probe pool (Some (Obs.Probe.pool reg));
-        ignore (P.map_array pool (fun i -> i * i) (Array.init n (fun i -> i)));
-        let st = P.stats pool in
-        Alcotest.(check int) "queue drained" 0 st.Stdx.Pool.depth;
-        Alcotest.(check int) "deques drained" 0 st.Stdx.Pool.deque_depth;
-        Alcotest.(check int) "nothing in flight" 0 st.Stdx.Pool.in_flight;
-        Alcotest.(check int) "submitted total" n st.Stdx.Pool.submitted;
-        Alcotest.(check int) "completed total" n st.Stdx.Pool.completed;
-        Alcotest.(check bool) "steals never exceed attempts" true
-          (st.Stdx.Pool.steals <= st.Stdx.Pool.steal_attempts));
-    let snaps = Obs.Metrics.snapshot reg in
-    (match (metric "pool_tasks_submitted_total" snaps,
-            metric "pool_tasks_completed_total" snaps) with
-    | Some (Obs.Metrics.Counter s), Some (Obs.Metrics.Counter c) ->
-      Alcotest.(check int) "submitted counter" n s;
-      Alcotest.(check int) "completed counter" n c
-    | _ -> Alcotest.fail "pool counters missing");
-    match (metric "pool_queue_depth_highwater" snaps,
-           metric "pool_deque_depth_highwater" snaps,
-           metric "pool_tasks_in_flight_highwater" snaps) with
-    | Some (Obs.Metrics.Gauge d), Some (Obs.Metrics.Gauge dd),
-      Some (Obs.Metrics.Gauge f) ->
-      (* the first submit observes depth 1 before any worker pops *)
-      Alcotest.(check bool) "depth high-water within queue bounds" true
-        (d >= 1 && d <= n);
-      (* one deque's depth can never exceed the aggregate observed at
-         the same instant, so the high-waters are ordered too *)
-      Alcotest.(check bool) "deque high-water within aggregate" true
-        (dd >= 1 && dd <= d);
-      Alcotest.(check bool) "in-flight high-water within pool width" true
-        (f >= 1 && f <= 3)
-    | _ -> Alcotest.fail "pool gauges missing"
-
-  let test_probe_inline_jobs_one () =
-    (* the jobs=1 inline path fires the probe too: totals are identical
-       whatever the pool width *)
-    let reg = Obs.Metrics.create () in
-    P.with_pool ~jobs:1 (fun pool ->
-        P.set_probe pool (Some (Obs.Probe.pool reg));
-        ignore (P.map_list pool (fun x -> x + 1) [ 1; 2; 3 ]);
-        let st = P.stats pool in
-        Alcotest.(check int) "submitted inline" 3 st.Stdx.Pool.submitted;
-        Alcotest.(check int) "completed inline" 3 st.Stdx.Pool.completed);
-    match metric "pool_tasks_completed_total" (Obs.Metrics.snapshot reg) with
-    | Some (Obs.Metrics.Counter 3) -> ()
-    | _ -> Alcotest.fail "inline path missed the probe"
-
-  let suite name =
-    let case label = Alcotest.test_case (name ^ ": " ^ label) in
-    [ case "map_array preserves order" `Quick test_map_order;
-      case "jobs=1 runs inline" `Quick test_jobs_one_inline;
-      case "exceptions surface, pool survives" `Quick
-        test_exception_surfaces_and_pool_survives;
-      case "nested maps don't deadlock" `Quick test_nested_maps;
-      case "async/await box values and exceptions" `Quick test_async_await;
-      case "await helps on a narrow pool" `Quick test_await_helps;
-      case "shutdown is idempotent and final" `Quick test_shutdown;
-      case "probe gauges track the queues" `Quick test_probe_gauges;
-      case "probe fires on the inline path" `Quick
-        test_probe_inline_jobs_one ]
-end
-
-module Locked_contract = Contract (Stdx.Pool.Locked)
-module Steal_contract = Contract (Stdx.Pool.Steal)
-
-(* ------------------------------------------------------------------ *)
-(* The facade: scheduler selection is first-class and observable, and
-   the stealer actually steals when fed an uneven fine-grained batch. *)
-
-let test_facade_scheduler_selection () =
-  Alcotest.(check bool) "default is steal" true
-    (Stdx.Pool.default_scheduler = Stdx.Pool.Steal);
-  List.iter
-    (fun (name, sched) ->
-      Alcotest.(check string) "name round-trips" name
-        (Stdx.Pool.scheduler_name sched);
-      (match Stdx.Pool.scheduler_of_string name with
-      | Some s ->
-        Alcotest.(check bool) ("of_string " ^ name) true (s = sched)
-      | None -> Alcotest.fail ("scheduler_of_string rejected " ^ name));
-      Stdx.Pool.with_pool ~scheduler:sched ~jobs:2 (fun pool ->
-          Alcotest.(check bool)
-            ("pool reports " ^ name)
-            true
-            (Stdx.Pool.scheduler pool = sched);
-          let got = Stdx.Pool.map_list pool (fun x -> x * x) [ 1; 2; 3 ] in
-          Alcotest.(check (list int)) (name ^ " maps") [ 1; 4; 9 ] got))
-    Stdx.Pool.schedulers;
-  Alcotest.(check bool) "unknown scheduler rejected" true
-    (Stdx.Pool.scheduler_of_string "fifo" = None)
-
-let test_steal_counters_move () =
-  (* Feed the stealer a batch whose tasks are deliberately uneven so
-     idle workers must steal from the deep deque.  Steal *attempts*
-     are guaranteed (a worker with an empty deque always probes
-     victims before parking); successful steals depend on timing, so
-     only the attempt counter is asserted. *)
-  Stdx.Pool.with_pool ~scheduler:Stdx.Pool.Steal ~jobs:4 (fun pool ->
+let test_map_order () =
+  P.with_pool ~jobs:4 (fun pool ->
+      let input = Array.init 100 (fun i -> i) in
+      (* uneven work so completion order differs from input order *)
       let f i =
         let acc = ref 0 in
-        for k = 0 to (i mod 11) * 2000 do
+        for k = 0 to (i mod 7) * 1000 do
+          acc := !acc + k
+        done;
+        ignore !acc;
+        i * i
+      in
+      let got = P.map_array pool f input in
+      Alcotest.(check (array int))
+        "results in input order" (Array.map f input) got)
+
+let test_jobs_one_inline () =
+  P.with_pool ~jobs:1 (fun pool ->
+      Alcotest.(check int) "jobs clamped" 1 (P.jobs pool);
+      let got = P.map_list pool (fun x -> x + 1) [ 1; 2; 3 ] in
+      Alcotest.(check (list int)) "inline map" [ 2; 3; 4 ] got)
+
+let test_exception_surfaces_and_pool_survives () =
+  P.with_pool ~jobs:3 (fun pool ->
+      (* The lowest-indexed failure is the one re-raised. *)
+      (match
+         P.map_array pool
+           (fun i -> if i mod 4 = 2 then failwith (string_of_int i) else i)
+           (Array.init 32 (fun i -> i))
+       with
+      | _ -> Alcotest.fail "expected Failure to propagate"
+      | exception Failure msg ->
+        Alcotest.(check string) "lowest-indexed exception" "2" msg);
+      (* The batch drained fully before re-raising: the pool is
+         quiescent and reusable. *)
+      let got = P.map_list pool (fun x -> 2 * x) [ 1; 2; 3 ] in
+      Alcotest.(check (list int)) "pool reusable" [ 2; 4; 6 ] got)
+
+let test_nested_maps () =
+  P.with_pool ~jobs:2 (fun pool ->
+      (* A task that submits its own batch: the submitter helps drain
+         the queue, so this must complete rather than deadlock. *)
+      let got =
+        P.map_list pool
+          (fun i -> P.map_list pool (fun j -> (10 * i) + j) [ 1; 2; 3 ])
+          [ 1; 2 ]
+      in
+      Alcotest.(check (list (list int)))
+        "nested batches" [ [ 11; 12; 13 ]; [ 21; 22; 23 ] ] got)
+
+let test_async_await () =
+  P.with_pool ~jobs:3 (fun pool ->
+      let futs = List.init 20 (fun i -> P.async pool (fun () -> i * 3)) in
+      let got = List.map (fun f -> P.await pool f) futs in
+      Alcotest.(check (list int))
+        "futures resolve in submission order"
+        (List.init 20 (fun i -> i * 3))
+        got;
+      (* a failed task is boxed, not fatal *)
+      let bad = P.async pool (fun () -> failwith "boxed") in
+      (match P.await pool bad with
+      | _ -> Alcotest.fail "expected the boxed Failure"
+      | exception Failure msg ->
+        Alcotest.(check string) "boxed exception surfaces" "boxed" msg);
+      let ok = P.async pool (fun () -> 7) in
+      Alcotest.(check int) "pool survives a failed future" 7
+        (P.await pool ok);
+      Alcotest.(check bool) "poll after await" true (P.poll ok))
+
+let test_await_helps () =
+  (* jobs=2: one worker domain.  A future that awaits another future
+     can only finish if awaiting helps run queued tasks. *)
+  P.with_pool ~jobs:2 (fun pool ->
+      let inner = P.async pool (fun () -> 21) in
+      let outer = P.async pool (fun () -> 2 * P.await pool inner) in
+      Alcotest.(check int) "await helps instead of deadlocking" 42
+        (P.await pool outer))
+
+let test_shutdown () =
+  let pool = P.create ~jobs:3 () in
+  P.shutdown pool;
+  P.shutdown pool;  (* idempotent *)
+  match P.map_list pool (fun x -> x) [ 1 ] with
+  | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
+  | exception Invalid_argument _ -> ()
+
+(* The scheduler-transition probe and its Obs wiring:
+   submitted/completed totals are exact, the high-water gauges stay
+   within the pool's physical bounds, and the pool is quiescent
+   after a batch. *)
+let test_probe_gauges () =
+  let reg = Obs.Metrics.create () in
+  let n = 40 in
+  P.with_pool ~jobs:3 (fun pool ->
+      P.set_probe pool (Some (Obs.Probe.pool reg));
+      ignore (P.map_array pool (fun i -> i * i) (Array.init n (fun i -> i)));
+      let st = P.stats pool in
+      Alcotest.(check int) "queue drained" 0 st.Stdx.Pool.depth;
+      Alcotest.(check int) "nothing in flight" 0 st.Stdx.Pool.in_flight;
+      Alcotest.(check int) "submitted total" n st.Stdx.Pool.submitted;
+      Alcotest.(check int) "completed total" n st.Stdx.Pool.completed);
+  let snaps = Obs.Metrics.snapshot reg in
+  (match (metric "pool_tasks_submitted_total" snaps,
+          metric "pool_tasks_completed_total" snaps) with
+  | Some (Obs.Metrics.Counter s), Some (Obs.Metrics.Counter c) ->
+    Alcotest.(check int) "submitted counter" n s;
+    Alcotest.(check int) "completed counter" n c
+  | _ -> Alcotest.fail "pool counters missing");
+  match (metric "pool_queue_depth_highwater" snaps,
+         metric "pool_tasks_in_flight_highwater" snaps) with
+  | Some (Obs.Metrics.Gauge d), Some (Obs.Metrics.Gauge f) ->
+    (* the first submit observes depth 1 before any worker pops *)
+    Alcotest.(check bool) "depth high-water within queue bounds" true
+      (d >= 1 && d <= n);
+    Alcotest.(check bool) "in-flight high-water within pool width" true
+      (f >= 1 && f <= 3)
+  | _ -> Alcotest.fail "pool gauges missing"
+
+let test_probe_inline_jobs_one () =
+  (* the jobs=1 inline path fires the probe too: totals are identical
+     whatever the pool width *)
+  let reg = Obs.Metrics.create () in
+  P.with_pool ~jobs:1 (fun pool ->
+      P.set_probe pool (Some (Obs.Probe.pool reg));
+      ignore (P.map_list pool (fun x -> x + 1) [ 1; 2; 3 ]);
+      let st = P.stats pool in
+      Alcotest.(check int) "submitted inline" 3 st.Stdx.Pool.submitted;
+      Alcotest.(check int) "completed inline" 3 st.Stdx.Pool.completed);
+  match metric "pool_tasks_completed_total" (Obs.Metrics.snapshot reg) with
+  | Some (Obs.Metrics.Counter 3) -> ()
+  | _ -> Alcotest.fail "inline path missed the probe"
+
+(* Quiescence on return: a task is retired in the same critical section
+   that publishes its result, so the instant [map_array] or [await]
+   hands results back, [stats] counts every one of them completed.
+   When retiring trails publication, a few thousand uneven batches on
+   a three-wide pool catch a return with a task still in flight. *)
+let test_quiescent_on_return () =
+  P.with_pool ~jobs:3 (fun pool ->
+      let f i =
+        let acc = ref 0 in
+        for k = 0 to (i mod 5) * 200 do
           acc := !acc + k
         done;
         !acc
       in
-      ignore (Stdx.Pool.map_array pool f (Array.init 400 (fun i -> i)));
-      let st = Stdx.Pool.stats pool in
-      Alcotest.(check bool) "stealer probed victims" true
-        (st.Stdx.Pool.steal_attempts > 0);
-      Alcotest.(check int) "all tasks accounted" 400 st.Stdx.Pool.submitted;
-      Alcotest.(check int) "all tasks completed" 400 st.Stdx.Pool.completed)
+      let input = Array.init 40 Fun.id in
+      let torn = ref 0 in
+      let check () =
+        let st = P.stats pool in
+        if st.in_flight <> 0 || st.completed <> st.submitted then incr torn
+      in
+      for round = 1 to 3000 do
+        ignore (P.map_array pool f input);
+        check ();
+        if round mod 10 = 0 then begin
+          ignore (P.await pool (P.async pool (fun () -> f round)));
+          check ()
+        end
+      done;
+      Alcotest.(check int) "returns that preceded retirement" 0 !torn)
+
+let contract_suite =
+  let case label = Alcotest.test_case ("locked: " ^ label) in
+  [ case "map_array preserves order" `Quick test_map_order;
+    case "jobs=1 runs inline" `Quick test_jobs_one_inline;
+    case "exceptions surface, pool survives" `Quick
+      test_exception_surfaces_and_pool_survives;
+    case "nested maps don't deadlock" `Quick test_nested_maps;
+    case "async/await box values and exceptions" `Quick test_async_await;
+    case "await helps on a narrow pool" `Quick test_await_helps;
+    case "shutdown is idempotent and final" `Quick test_shutdown;
+    case "probe gauges track the queues" `Quick test_probe_gauges;
+    case "probe fires on the inline path" `Quick test_probe_inline_jobs_one;
+    case "results return only after their tasks retire" `Quick
+      test_quiescent_on_return ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel fan-out determinism: Run.exec (streaming) at 4 domains
    against the sequential path, all ten workloads, all seven
-   machines.  jobs=4 runs on the default scheduler (steal), so this is
-   also the end-to-end bit-identity check for the new scheduler. *)
+   machines. *)
 
 type counters = {
   executions : int;
@@ -358,15 +327,14 @@ let prop_guarded_tasks_never_escape =
             codes outcomes))
 
 (* qcheck: scheduling independence.  Whatever the jobs count or the
-   segment stride, a segmented analysis under the steal scheduler is
-   bit-identical to the sequential un-segmented run — the end-to-end
-   form of the pool's determinism contract, with randomized victim
-   selection, helping and parking all in play. *)
+   segment stride, a segmented analysis on the pool is bit-identical to
+   the sequential un-segmented run — the end-to-end form of the pool's
+   determinism contract, with helping and parking both in play. *)
 
-let prop_steal_segmented_scheduling_independent =
+let prop_segmented_scheduling_independent =
   let ws = Workloads.Registry.all in
   QCheck.Test.make ~count:10
-    ~name:"steal scheduler: segmented run == sequential (any jobs/stride)"
+    ~name:"segmented run on the pool == sequential (any jobs/stride)"
     QCheck.(
       triple (int_range 2 4) (int_range 1 400)
         (int_range 0 (List.length ws - 1)))
@@ -382,22 +350,16 @@ let prop_steal_segmented_scheduling_independent =
       in
       let par =
         run
-          (Harness.Run.config ~scheduler:Stdx.Pool.Steal ~jobs ~fuel:20_000
-             ~stream:true ~segment_steps:(`Steps stride) specs)
+          (Harness.Run.config ~jobs ~fuel:20_000 ~stream:true
+             ~segment_steps:(`Steps stride) specs)
       in
       seq = par)
 
 let suite =
-  Locked_contract.suite "locked"
-  @ Steal_contract.suite "steal"
-  @ [ Alcotest.test_case "facade: scheduler is first-class" `Quick
-        test_facade_scheduler_selection;
-      Alcotest.test_case "steal: counters move under uneven load" `Quick
-        test_steal_counters_move;
-      Alcotest.test_case "Run.exec stream: jobs=4 == sequential" `Slow
+  contract_suite
+  @ [ Alcotest.test_case "Run.exec stream: jobs=4 == sequential" `Slow
         test_streaming_all_deterministic;
       Alcotest.test_case "fuzz: jobs=4 == jobs=1" `Slow
         test_fuzz_jobs_deterministic;
       QCheck_alcotest.to_alcotest prop_guarded_tasks_never_escape;
-      QCheck_alcotest.to_alcotest
-        prop_steal_segmented_scheduling_independent ]
+      QCheck_alcotest.to_alcotest prop_segmented_scheduling_independent ]
