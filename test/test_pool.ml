@@ -5,8 +5,8 @@
    raised inside pool tasks must surface exactly once, through the
    typed-error barrier, without wedging the pool.
 
-   The pool-level cases are labelled "locked:" after the pool's
-   discipline: one mutex-guarded central queue. *)
+   The pool-level cases run twice, as "locked:" and as "steal:"; the
+   second run audits the pool's counters after every case. *)
 
 let pp_result fmt (r : Ilp.Analyze.result) =
   Format.fprintf fmt
@@ -32,141 +32,194 @@ let metric name snaps =
     snaps
 
 (* ------------------------------------------------------------------ *)
-(* The pool contract. *)
+(* The pool contract, as a functor over an audit that runs on each
+   case's pool once the case is done with it. *)
 
 module P = Stdx.Pool
 
-let test_map_order () =
-  P.with_pool ~jobs:4 (fun pool ->
-      let input = Array.init 100 (fun i -> i) in
-      (* uneven work so completion order differs from input order *)
-      let f i =
-        let acc = ref 0 in
-        for k = 0 to (i mod 7) * 1000 do
-          acc := !acc + k
-        done;
-        ignore !acc;
-        i * i
-      in
-      let got = P.map_array pool f input in
-      Alcotest.(check (array int))
-        "results in input order" (Array.map f input) got)
+module Contract (A : sig
+  val label : string
+  val audit : P.t -> unit
+end) =
+struct
+  let with_pool ~jobs f =
+    P.with_pool ~jobs (fun pool ->
+        let r = f pool in
+        A.audit pool;
+        r)
 
-let test_jobs_one_inline () =
-  P.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check int) "jobs clamped" 1 (P.jobs pool);
-      let got = P.map_list pool (fun x -> x + 1) [ 1; 2; 3 ] in
-      Alcotest.(check (list int)) "inline map" [ 2; 3; 4 ] got)
+  let test_map_order () =
+    with_pool ~jobs:4 (fun pool ->
+        let input = Array.init 100 (fun i -> i) in
+        (* uneven work so completion order differs from input order *)
+        let f i =
+          let acc = ref 0 in
+          for k = 0 to (i mod 7) * 1000 do
+            acc := !acc + k
+          done;
+          ignore !acc;
+          i * i
+        in
+        let got = P.map_array pool f input in
+        Alcotest.(check (array int))
+          "results in input order" (Array.map f input) got)
 
-let test_exception_surfaces_and_pool_survives () =
-  P.with_pool ~jobs:3 (fun pool ->
-      (* The lowest-indexed failure is the one re-raised. *)
-      (match
-         P.map_array pool
-           (fun i -> if i mod 4 = 2 then failwith (string_of_int i) else i)
-           (Array.init 32 (fun i -> i))
-       with
-      | _ -> Alcotest.fail "expected Failure to propagate"
-      | exception Failure msg ->
-        Alcotest.(check string) "lowest-indexed exception" "2" msg);
-      (* The batch drained fully before re-raising: the pool is
-         quiescent and reusable. *)
-      let got = P.map_list pool (fun x -> 2 * x) [ 1; 2; 3 ] in
-      Alcotest.(check (list int)) "pool reusable" [ 2; 4; 6 ] got)
+  let test_jobs_one_inline () =
+    with_pool ~jobs:1 (fun pool ->
+        Alcotest.(check int) "jobs clamped" 1 (P.jobs pool);
+        let got = P.map_list pool (fun x -> x + 1) [ 1; 2; 3 ] in
+        Alcotest.(check (list int)) "inline map" [ 2; 3; 4 ] got)
 
-let test_nested_maps () =
-  P.with_pool ~jobs:2 (fun pool ->
-      (* A task that submits its own batch: the submitter helps drain
-         the queue, so this must complete rather than deadlock. *)
-      let got =
-        P.map_list pool
-          (fun i -> P.map_list pool (fun j -> (10 * i) + j) [ 1; 2; 3 ])
-          [ 1; 2 ]
-      in
-      Alcotest.(check (list (list int)))
-        "nested batches" [ [ 11; 12; 13 ]; [ 21; 22; 23 ] ] got)
+  let test_exception_surfaces_and_pool_survives () =
+    with_pool ~jobs:3 (fun pool ->
+        (* The lowest-indexed failure is the one re-raised. *)
+        (match
+           P.map_array pool
+             (fun i -> if i mod 4 = 2 then failwith (string_of_int i) else i)
+             (Array.init 32 (fun i -> i))
+         with
+        | _ -> Alcotest.fail "expected Failure to propagate"
+        | exception Failure msg ->
+          Alcotest.(check string) "lowest-indexed exception" "2" msg);
+        (* The batch drained fully before re-raising: the pool is
+           quiescent and reusable. *)
+        let got = P.map_list pool (fun x -> 2 * x) [ 1; 2; 3 ] in
+        Alcotest.(check (list int)) "pool reusable" [ 2; 4; 6 ] got)
 
-let test_async_await () =
-  P.with_pool ~jobs:3 (fun pool ->
-      let futs = List.init 20 (fun i -> P.async pool (fun () -> i * 3)) in
-      let got = List.map (fun f -> P.await pool f) futs in
-      Alcotest.(check (list int))
-        "futures resolve in submission order"
-        (List.init 20 (fun i -> i * 3))
-        got;
-      (* a failed task is boxed, not fatal *)
-      let bad = P.async pool (fun () -> failwith "boxed") in
-      (match P.await pool bad with
-      | _ -> Alcotest.fail "expected the boxed Failure"
-      | exception Failure msg ->
-        Alcotest.(check string) "boxed exception surfaces" "boxed" msg);
-      let ok = P.async pool (fun () -> 7) in
-      Alcotest.(check int) "pool survives a failed future" 7
-        (P.await pool ok);
-      Alcotest.(check bool) "poll after await" true (P.poll ok))
+  let test_nested_maps () =
+    with_pool ~jobs:2 (fun pool ->
+        (* A task that submits its own batch: the submitter helps drain
+           the queue, so this must complete rather than deadlock. *)
+        let got =
+          P.map_list pool
+            (fun i -> P.map_list pool (fun j -> (10 * i) + j) [ 1; 2; 3 ])
+            [ 1; 2 ]
+        in
+        Alcotest.(check (list (list int)))
+          "nested batches" [ [ 11; 12; 13 ]; [ 21; 22; 23 ] ] got)
 
-let test_await_helps () =
-  (* jobs=2: one worker domain.  A future that awaits another future
-     can only finish if awaiting helps run queued tasks. *)
-  P.with_pool ~jobs:2 (fun pool ->
-      let inner = P.async pool (fun () -> 21) in
-      let outer = P.async pool (fun () -> 2 * P.await pool inner) in
-      Alcotest.(check int) "await helps instead of deadlocking" 42
-        (P.await pool outer))
+  let test_async_await () =
+    with_pool ~jobs:3 (fun pool ->
+        let futs = List.init 20 (fun i -> P.async pool (fun () -> i * 3)) in
+        let got = List.map (fun f -> P.await pool f) futs in
+        Alcotest.(check (list int))
+          "futures resolve in submission order"
+          (List.init 20 (fun i -> i * 3))
+          got;
+        (* a failed task is boxed, not fatal *)
+        let bad = P.async pool (fun () -> failwith "boxed") in
+        (match P.await pool bad with
+        | _ -> Alcotest.fail "expected the boxed Failure"
+        | exception Failure msg ->
+          Alcotest.(check string) "boxed exception surfaces" "boxed" msg);
+        let ok = P.async pool (fun () -> 7) in
+        Alcotest.(check int) "pool survives a failed future" 7
+          (P.await pool ok);
+        Alcotest.(check bool) "poll after await" true (P.poll ok))
 
-let test_shutdown () =
-  let pool = P.create ~jobs:3 () in
-  P.shutdown pool;
-  P.shutdown pool;  (* idempotent *)
-  match P.map_list pool (fun x -> x) [ 1 ] with
-  | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
-  | exception Invalid_argument _ -> ()
+  let test_await_helps () =
+    (* jobs=2: one worker domain.  A future that awaits another future
+       can only finish if awaiting helps run queued tasks. *)
+    with_pool ~jobs:2 (fun pool ->
+        let inner = P.async pool (fun () -> 21) in
+        let outer = P.async pool (fun () -> 2 * P.await pool inner) in
+        Alcotest.(check int) "await helps instead of deadlocking" 42
+          (P.await pool outer))
 
-(* The scheduler-transition probe and its Obs wiring:
-   submitted/completed totals are exact, the high-water gauges stay
-   within the pool's physical bounds, and the pool is quiescent
-   after a batch. *)
-let test_probe_gauges () =
-  let reg = Obs.Metrics.create () in
-  let n = 40 in
-  P.with_pool ~jobs:3 (fun pool ->
-      P.set_probe pool (Some (Obs.Probe.pool reg));
-      ignore (P.map_array pool (fun i -> i * i) (Array.init n (fun i -> i)));
-      let st = P.stats pool in
-      Alcotest.(check int) "queue drained" 0 st.Stdx.Pool.depth;
-      Alcotest.(check int) "nothing in flight" 0 st.Stdx.Pool.in_flight;
-      Alcotest.(check int) "submitted total" n st.Stdx.Pool.submitted;
-      Alcotest.(check int) "completed total" n st.Stdx.Pool.completed);
-  let snaps = Obs.Metrics.snapshot reg in
-  (match (metric "pool_tasks_submitted_total" snaps,
-          metric "pool_tasks_completed_total" snaps) with
-  | Some (Obs.Metrics.Counter s), Some (Obs.Metrics.Counter c) ->
-    Alcotest.(check int) "submitted counter" n s;
-    Alcotest.(check int) "completed counter" n c
-  | _ -> Alcotest.fail "pool counters missing");
-  match (metric "pool_queue_depth_highwater" snaps,
-         metric "pool_tasks_in_flight_highwater" snaps) with
-  | Some (Obs.Metrics.Gauge d), Some (Obs.Metrics.Gauge f) ->
-    (* the first submit observes depth 1 before any worker pops *)
-    Alcotest.(check bool) "depth high-water within queue bounds" true
-      (d >= 1 && d <= n);
-    Alcotest.(check bool) "in-flight high-water within pool width" true
-      (f >= 1 && f <= 3)
-  | _ -> Alcotest.fail "pool gauges missing"
+  let test_shutdown () =
+    let pool = P.create ~jobs:3 () in
+    P.shutdown pool;
+    P.shutdown pool;  (* idempotent *)
+    match P.map_list pool (fun x -> x) [ 1 ] with
+    | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
+    | exception Invalid_argument _ -> A.audit pool
 
-let test_probe_inline_jobs_one () =
-  (* the jobs=1 inline path fires the probe too: totals are identical
-     whatever the pool width *)
-  let reg = Obs.Metrics.create () in
-  P.with_pool ~jobs:1 (fun pool ->
-      P.set_probe pool (Some (Obs.Probe.pool reg));
-      ignore (P.map_list pool (fun x -> x + 1) [ 1; 2; 3 ]);
-      let st = P.stats pool in
-      Alcotest.(check int) "submitted inline" 3 st.Stdx.Pool.submitted;
-      Alcotest.(check int) "completed inline" 3 st.Stdx.Pool.completed);
-  match metric "pool_tasks_completed_total" (Obs.Metrics.snapshot reg) with
-  | Some (Obs.Metrics.Counter 3) -> ()
-  | _ -> Alcotest.fail "inline path missed the probe"
+  (* The scheduler-transition probe and its Obs wiring:
+     submitted/completed totals are exact, the high-water gauges stay
+     within the pool's physical bounds, and the pool is quiescent
+     after a batch. *)
+  let test_probe_gauges () =
+    let reg = Obs.Metrics.create () in
+    let n = 40 in
+    with_pool ~jobs:3 (fun pool ->
+        P.set_probe pool (Some (Obs.Probe.pool reg));
+        ignore (P.map_array pool (fun i -> i * i) (Array.init n (fun i -> i)));
+        let st = P.stats pool in
+        Alcotest.(check int) "queue drained" 0 st.Stdx.Pool.depth;
+        Alcotest.(check int) "nothing in flight" 0 st.Stdx.Pool.in_flight;
+        Alcotest.(check int) "submitted total" n st.Stdx.Pool.submitted;
+        Alcotest.(check int) "completed total" n st.Stdx.Pool.completed);
+    let snaps = Obs.Metrics.snapshot reg in
+    (match (metric "pool_tasks_submitted_total" snaps,
+            metric "pool_tasks_completed_total" snaps) with
+    | Some (Obs.Metrics.Counter s), Some (Obs.Metrics.Counter c) ->
+      Alcotest.(check int) "submitted counter" n s;
+      Alcotest.(check int) "completed counter" n c
+    | _ -> Alcotest.fail "pool counters missing");
+    match (metric "pool_queue_depth_highwater" snaps,
+           metric "pool_tasks_in_flight_highwater" snaps) with
+    | Some (Obs.Metrics.Gauge d), Some (Obs.Metrics.Gauge f) ->
+      (* the first submit observes depth 1 before any worker pops *)
+      Alcotest.(check bool) "depth high-water within queue bounds" true
+        (d >= 1 && d <= n);
+      Alcotest.(check bool) "in-flight high-water within pool width" true
+        (f >= 1 && f <= 3)
+    | _ -> Alcotest.fail "pool gauges missing"
+
+  let test_probe_inline_jobs_one () =
+    (* the jobs=1 inline path fires the probe too: totals are identical
+       whatever the pool width *)
+    let reg = Obs.Metrics.create () in
+    with_pool ~jobs:1 (fun pool ->
+        P.set_probe pool (Some (Obs.Probe.pool reg));
+        ignore (P.map_list pool (fun x -> x + 1) [ 1; 2; 3 ]);
+        let st = P.stats pool in
+        Alcotest.(check int) "submitted inline" 3 st.Stdx.Pool.submitted;
+        Alcotest.(check int) "completed inline" 3 st.Stdx.Pool.completed);
+    match metric "pool_tasks_completed_total" (Obs.Metrics.snapshot reg) with
+    | Some (Obs.Metrics.Counter 3) -> ()
+    | _ -> Alcotest.fail "inline path missed the probe"
+
+  let suite =
+    let case label = Alcotest.test_case (A.label ^ ": " ^ label) in
+    [ case "map_array preserves order" `Quick test_map_order;
+      case "jobs=1 runs inline" `Quick test_jobs_one_inline;
+      case "exceptions surface, pool survives" `Quick
+        test_exception_surfaces_and_pool_survives;
+      case "nested maps don't deadlock" `Quick test_nested_maps;
+      case "async/await box values and exceptions" `Quick test_async_await;
+      case "await helps on a narrow pool" `Quick test_await_helps;
+      case "shutdown is idempotent and final" `Quick test_shutdown;
+      case "probe gauges track the queues" `Quick test_probe_gauges;
+      case "probe fires on the inline path" `Quick
+        test_probe_inline_jobs_one ]
+end
+
+(* "locked:" runs the cases as they stand, named after the pool's
+   discipline: one mutex-guarded central queue. *)
+module Locked_contract = Contract (struct
+  let label = "locked"
+  let audit _ = ()
+end)
+
+(* "steal:" runs the same cases and then audits the counters the
+   benchmark reads.  Whatever a case did to the pool (failed batches,
+   nested maps, a caller helping to drain the queue, shutdown), every
+   task it submitted has completed, none is queued or in flight, and
+   the steal counters still read 0: taking work from the one shared
+   queue, by a worker or by a helping caller, is never a steal. *)
+module Steal_contract = Contract (struct
+  let label = "steal"
+
+  let audit pool =
+    let st = P.stats pool in
+    Alcotest.(check int) "audit: nothing queued" 0 st.P.depth;
+    Alcotest.(check int) "audit: nothing in flight" 0 st.P.in_flight;
+    Alcotest.(check int) "audit: every submission completed" st.P.submitted
+      st.P.completed;
+    Alcotest.(check int) "audit: no steal attempts" 0 st.P.steal_attempts;
+    Alcotest.(check int) "audit: no steals" 0 st.P.steals
+end)
 
 (* Quiescence on return: a task is retired in the same critical section
    that publishes its result, so the instant [map_array] or [await]
@@ -199,19 +252,10 @@ let test_quiescent_on_return () =
       Alcotest.(check int) "returns that preceded retirement" 0 !torn)
 
 let contract_suite =
-  let case label = Alcotest.test_case ("locked: " ^ label) in
-  [ case "map_array preserves order" `Quick test_map_order;
-    case "jobs=1 runs inline" `Quick test_jobs_one_inline;
-    case "exceptions surface, pool survives" `Quick
-      test_exception_surfaces_and_pool_survives;
-    case "nested maps don't deadlock" `Quick test_nested_maps;
-    case "async/await box values and exceptions" `Quick test_async_await;
-    case "await helps on a narrow pool" `Quick test_await_helps;
-    case "shutdown is idempotent and final" `Quick test_shutdown;
-    case "probe gauges track the queues" `Quick test_probe_gauges;
-    case "probe fires on the inline path" `Quick test_probe_inline_jobs_one;
-    case "results return only after their tasks retire" `Quick
-      test_quiescent_on_return ]
+  Locked_contract.suite
+  @ [ Alcotest.test_case "locked: results return only after their tasks retire"
+        `Quick test_quiescent_on_return ]
+  @ Steal_contract.suite
 
 (* ------------------------------------------------------------------ *)
 (* Parallel fan-out determinism: Run.exec (streaming) at 4 domains
