@@ -352,22 +352,7 @@ let cmd_blocks name =
     cfg.loops.loops;
   Ok ()
 
-(* Minimal JSON string for the CLI-level wrappers (the engine renders
-   its own report objects). *)
-let json_str buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Jsonx = Stdx.Jsonx
 
 let cmd_check names fuel dynamic warnings_too strict disabled fmt trace_out
     metrics prom_out =
@@ -388,30 +373,28 @@ let cmd_check names fuel dynamic warnings_too strict disabled fmt trace_out
   in
   (match fmt with
   | `Json ->
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\"workloads\":[";
-    List.iteri
-      (fun i (r : Harness.check_result) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "{\"workload\":";
-        json_str buf r.c_workload;
-        Buffer.add_string buf ",\"report\":";
-        Cfg.Engine.render_json buf r.c_engine;
-        if dynamic then begin
-          Buffer.add_string buf
-            (Printf.sprintf
-               ",\"dynamic\":{\"entries\":%d,\"violations\":%d,\"status\":"
-               r.c_dyn_entries r.c_dyn_total);
-          json_str buf
-            (match r.c_status with
-            | Some s -> Vm.Exec.status_string s
-            | None -> "");
-          Buffer.add_string buf "}"
-        end;
-        Buffer.add_string buf "}")
-      results;
-    Buffer.add_string buf "]}\n";
-    print_string (Buffer.contents buf)
+    let workload (r : Harness.check_result) =
+      let dynamic_fields =
+        if not dynamic then []
+        else
+          [ ( "dynamic",
+              Jsonx.Obj
+                [ ("entries", Jsonx.Int r.c_dyn_entries);
+                  ("violations", Jsonx.Int r.c_dyn_total);
+                  ( "status",
+                    Jsonx.Str
+                      (match r.c_status with
+                      | Some s -> Vm.Exec.status_string s
+                      | None -> "") ) ] ) ]
+      in
+      Jsonx.Obj
+        ([ ("workload", Jsonx.Str r.c_workload);
+           ("report", Cfg.Engine.to_json r.c_engine) ]
+        @ dynamic_fields)
+    in
+    print_endline
+      (Jsonx.to_string
+         (Jsonx.Obj [ ("workloads", Jsonx.List (List.map workload results)) ]))
   | `Text ->
     List.iter
       (fun (r : Harness.check_result) ->
@@ -448,41 +431,29 @@ let bound_cell (b : Ilp.Static_bound.t) =
   Ilp.Static_bound.value_to_string b.bound
   ^ match b.limiting with Some l -> " (" ^ l ^ ")" | None -> ""
 
-let estimate_json buf (es : Harness.estimated list) =
-  Buffer.add_string buf "{\"workloads\":[";
-  List.iteri
-    (fun i (e : Harness.estimated) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let est = e.e_est in
-      let d, l, x, u = Cfg.Classify.counts est.Cfg.Estimate.classes in
-      Buffer.add_string buf "{\"workload\":";
-      json_str buf e.e_workload;
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\"branches\":{\"decided\":%d,\"loop_exit\":%d,\"data\":%d,\
-            \"unreachable\":%d},\"max_run\":"
-           d l x u);
-      (match est.Cfg.Estimate.max_run with
-      | Cfg.Estimate.Finite m -> Buffer.add_string buf (string_of_int m)
-      | Cfg.Estimate.Unbounded -> Buffer.add_string buf "null");
-      Buffer.add_string buf ",\"bounds\":[";
-      List.iteri
-        (fun j (b : Ilp.Static_bound.t) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf "{\"spec\":";
-          json_str buf b.spec;
-          Buffer.add_string buf ",\"bound\":";
-          if b.bound = infinity then Buffer.add_string buf "null"
-          else Buffer.add_string buf (Printf.sprintf "%g" b.bound);
-          Buffer.add_string buf ",\"limiting\":";
-          (match b.limiting with
-          | Some l -> json_str buf l
-          | None -> Buffer.add_string buf "null");
-          Buffer.add_string buf "}")
-        e.e_bounds;
-      Buffer.add_string buf "]}")
-    es;
-  Buffer.add_string buf "]}\n"
+let estimate_json (es : Harness.estimated list) =
+  let bound (b : Ilp.Static_bound.t) =
+    Jsonx.Obj
+      [ ("spec", Jsonx.Str b.spec); ("bound", Jsonx.Float b.bound);
+        ( "limiting",
+          match b.limiting with Some l -> Jsonx.Str l | None -> Jsonx.Null ) ]
+  in
+  let workload (e : Harness.estimated) =
+    let est = e.e_est in
+    let d, l, x, u = Cfg.Classify.counts est.Cfg.Estimate.classes in
+    Jsonx.Obj
+      [ ("workload", Jsonx.Str e.e_workload);
+        ( "branches",
+          Jsonx.Obj
+            [ ("decided", Jsonx.Int d); ("loop_exit", Jsonx.Int l);
+              ("data", Jsonx.Int x); ("unreachable", Jsonx.Int u) ] );
+        ( "max_run",
+          match est.Cfg.Estimate.max_run with
+          | Cfg.Estimate.Finite m -> Jsonx.Int m
+          | Cfg.Estimate.Unbounded -> Jsonx.Null );
+        ("bounds", Jsonx.List (List.map bound e.e_bounds)) ]
+  in
+  Jsonx.Obj [ ("workloads", Jsonx.List (List.map workload es)) ]
 
 let cmd_estimate names machine_names no_inline no_unroll detail fmt =
   let* ws = workloads_of_names names in
@@ -498,10 +469,7 @@ let cmd_estimate names machine_names no_inline no_unroll detail fmt =
   in
   let* es = collect [] ws in
   (match fmt with
-  | `Json ->
-    let buf = Buffer.create 4096 in
-    estimate_json buf es;
-    print_string (Buffer.contents buf)
+  | `Json -> print_endline (Jsonx.to_string (estimate_json es))
   | `Text ->
     let header =
       "Program" :: List.map (fun (m : Ilp.Machine.t) -> m.name) machines
@@ -666,7 +634,6 @@ let cmd_fuzz names seed cases fuel jobs random_machines segments serve_sock trac
 (* Analysis as a service: the serve daemon and its client. *)
 
 module Protocol = Serve.Protocol
-module Jsonx = Serve.Jsonx
 
 let parse_host_port s =
   match String.rindex_opt s ':' with

@@ -177,76 +177,26 @@ let render_text ppf r =
     r.n_warnings
     (if r.n_warnings = 1 then "" else "s")
 
-(* Minimal JSON string escaping: quotes, backslashes, control chars. *)
-let json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let render_json buf r =
-  let field name write =
-    json_string buf name;
-    Buffer.add_char buf ':';
-    write ()
-  in
-  Buffer.add_string buf "{";
-  field "diagnostics" (fun () ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i d ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf "{";
-          field "severity" (fun () ->
-              json_string buf (severity_name d.d_severity));
-          Buffer.add_char buf ',';
-          field "class" (fun () -> json_string buf d.d_pass);
-          Buffer.add_char buf ',';
-          field "proc" (fun () ->
-              Buffer.add_string buf (string_of_int d.d_proc));
-          Buffer.add_char buf ',';
-          field "proc_name" (fun () -> json_string buf d.d_proc_name);
-          Buffer.add_char buf ',';
-          field "pc" (fun () -> Buffer.add_string buf (string_of_int d.d_pc));
-          Buffer.add_char buf ',';
-          field "block" (fun () ->
-              Buffer.add_string buf (string_of_int d.d_block));
-          Buffer.add_char buf ',';
-          field "message" (fun () -> json_string buf d.d_message);
-          Buffer.add_char buf ',';
-          field "disasm" (fun () -> json_string buf d.d_disasm);
-          Buffer.add_string buf "}")
-        r.diags;
-      Buffer.add_char buf ']');
-  Buffer.add_char buf ',';
-  field "errors" (fun () -> Buffer.add_string buf (string_of_int r.n_errors));
-  Buffer.add_char buf ',';
-  field "warnings" (fun () ->
-      Buffer.add_string buf (string_of_int r.n_warnings));
-  Buffer.add_char buf ',';
-  field "passes" (fun () ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i t ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf "{";
-          field "pass" (fun () -> json_string buf t.t_pass);
-          Buffer.add_char buf ',';
-          field "ns" (fun () ->
-              Buffer.add_string buf (Int64.to_string t.t_ns));
-          Buffer.add_char buf ',';
-          field "diagnostics" (fun () ->
-              Buffer.add_string buf (string_of_int t.t_diags));
-          Buffer.add_string buf "}")
-        r.timings;
-      Buffer.add_char buf ']');
-  Buffer.add_string buf "}"
+let to_json r : Stdx.Jsonx.t =
+  let open Stdx.Jsonx in
+  Obj
+    [ ( "diagnostics",
+        List
+          (List.map
+             (fun d ->
+               Obj
+                 [ ("severity", Str (severity_name d.d_severity));
+                   ("class", Str d.d_pass); ("proc", Int d.d_proc);
+                   ("proc_name", Str d.d_proc_name); ("pc", Int d.d_pc);
+                   ("block", Int d.d_block); ("message", Str d.d_message);
+                   ("disasm", Str d.d_disasm) ])
+             r.diags) );
+      ("errors", Int r.n_errors); ("warnings", Int r.n_warnings);
+      ( "passes",
+        List
+          (List.map
+             (fun t ->
+               Obj
+                 [ ("pass", Str t.t_pass); ("ns", Int (Int64.to_int t.t_ns));
+                   ("diagnostics", Int t.t_diags) ])
+             r.timings) ) ]

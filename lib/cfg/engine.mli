@@ -95,6 +95,6 @@ val pp_diag : Format.formatter -> diag -> unit
 val render_text : Format.formatter -> report -> unit
 (** Every diagnostic, one per line, plus a summary line. *)
 
-val render_json : Buffer.t -> report -> unit
+val to_json : report -> Stdx.Jsonx.t
 (** The report as a JSON object:
     [{"diagnostics":[...],"errors":n,"warnings":n,"passes":[...]}]. *)

@@ -28,30 +28,6 @@ let kind_name = function
   | Sccp_unreachable -> "sccp-unreachable"
   | Dead_store -> "dead-store"
 
-let all_kinds =
-  [ Bad_branch_target; Bad_jtab_target; Bad_call_target;
-    Fallthrough_off_end; Ret_discipline; Sp_discipline; Sp_imbalance;
-    Uninit_read; Maybe_uninit_read; Unreachable_block; Sccp_unreachable;
-    Dead_store ]
-
-let kind_of_name n =
-  List.find_opt (fun k -> kind_name k = n) all_kinds
-
-type diag = {
-  pc : int;
-  block : int;
-  severity : severity;
-  kind : kind;
-  message : string;
-  disasm : string;
-}
-
-type report = {
-  diags : diag list;
-  n_errors : int;
-  n_warnings : int;
-}
-
 let severity_of = function
   | Bad_branch_target | Bad_jtab_target | Bad_call_target
   | Fallthrough_off_end | Ret_discipline | Sp_discipline | Sp_imbalance
@@ -59,11 +35,6 @@ let severity_of = function
     Error
   | Maybe_uninit_read | Unreachable_block | Sccp_unreachable | Dead_store ->
     Warning
-
-let pp_diag ppf d =
-  Format.fprintf ppf "%s: pc %d (block %d) [%s]: %s | %s"
-    (match d.severity with Error -> "error" | Warning -> "warning")
-    d.pc d.block (kind_name d.kind) d.message d.disasm
 
 let pp_uid = Risc.Reg.pp_uid
 
@@ -372,39 +343,6 @@ let passes =
     fallthrough_pass; ret_discipline_pass; sp_discipline_pass;
     sp_imbalance_pass; uninit_pass; maybe_uninit_pass; unreachable_pass;
     sccp_unreachable_pass; dead_store_pass ]
-
-(* Compatibility shim: an engine report over these passes, re-sorted
-   into the original (pc, kind) order and retyped. *)
-let of_engine (er : Engine.report) =
-  let diags =
-    List.map
-      (fun (d : Engine.diag) ->
-        let kind =
-          match kind_of_name d.d_pass with
-          | Some k -> k
-          | None -> invalid_arg ("Verify.check: unknown pass " ^ d.d_pass)
-        in
-        { pc = d.d_pc;
-          block = d.d_block;
-          severity = d.d_severity;
-          kind;
-          message = d.d_message;
-          disasm = d.d_disasm })
-      er.Engine.diags
-  in
-  let diags =
-    List.stable_sort
-      (fun a b -> compare (a.pc, a.kind) (b.pc, b.kind))
-      diags
-  in
-  { diags;
-    n_errors = er.Engine.n_errors;
-    n_warnings = er.Engine.n_warnings }
-
-let check (a : Analysis.t) = of_engine (Engine.run passes a)
-
-let errors r = List.filter (fun d -> d.severity = Error) r.diags
-let warnings r = List.filter (fun d -> d.severity = Warning) r.diags
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic cross-validation: replay a trace against the static facts.  *)

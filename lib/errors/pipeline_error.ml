@@ -162,86 +162,41 @@ let cause_name t =
 (* JSON rendering: the wire shape every server error response carries.
    Kept here so the one place that defines causes also defines their
    serialization — a new cause fails to compile until it renders. *)
-let json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let to_json buf t =
-  let field name value =
-    json_string buf name;
-    Buffer.add_char buf ':';
-    value ()
+let to_json t : Stdx.Jsonx.t =
+  let message = to_string t in
+  let open Stdx.Jsonx in
+  (* estimates and ceilings are whole numbers on the wire, rounded like
+     the message's [%.0f] *)
+  let whole x =
+    match int_of_string_opt (Printf.sprintf "%.0f" x) with
+    | Some i -> Int i
+    | None -> Float x
   in
-  let str name s = field name (fun () -> json_string buf s) in
-  let int name i = field name (fun () -> Buffer.add_string buf (string_of_int i)) in
-  let sep () = Buffer.add_char buf ',' in
-  Buffer.add_char buf '{';
-  str "cause" (cause_name t);
-  sep ();
-  int "code" (exit_code t);
-  sep ();
-  str "stage" (stage_name t.stage);
-  (match t.workload with
-  | Some w ->
-    sep ();
-    str "workload" w
-  | None -> ());
-  sep ();
-  str "message" (to_string t);
   (* cause-specific structured payload, so clients never parse the
      human message *)
-  (match t.cause with
-  | Deadline_exceeded { budget_ms; elapsed_ms } ->
-    sep ();
-    int "budget_ms" budget_ms;
-    sep ();
-    int "elapsed_ms" elapsed_ms
-  | Overloaded { depth; limit; retry_after_ms } ->
-    sep ();
-    int "depth" depth;
-    sep ();
-    int "limit" limit;
-    sep ();
-    int "retry_after_ms" retry_after_ms
-  | Rejected_by_estimate { spec; estimate; ceiling } ->
-    sep ();
-    str "spec" spec;
-    sep ();
-    field "estimate" (fun () ->
-        Buffer.add_string buf
-          (if estimate = infinity then "null"
-           else Printf.sprintf "%.0f" estimate));
-    sep ();
-    field "ceiling" (fun () ->
-        Buffer.add_string buf (Printf.sprintf "%.0f" ceiling))
-  | Budget_exceeded { what; limit; requested } ->
-    sep ();
-    str "what" what;
-    sep ();
-    int "limit" limit;
-    sep ();
-    int "requested" requested
-  | Vm_fault f ->
-    sep ();
-    str "fault_kind" (fault_kind_name f.f_kind);
-    sep ();
-    int "pc" f.f_pc;
-    sep ();
-    int "step" f.f_step
-  | _ -> ());
-  Buffer.add_char buf '}'
+  let payload =
+    match t.cause with
+    | Deadline_exceeded { budget_ms; elapsed_ms } ->
+      [ ("budget_ms", Int budget_ms); ("elapsed_ms", Int elapsed_ms) ]
+    | Overloaded { depth; limit; retry_after_ms } ->
+      [ ("depth", Int depth); ("limit", Int limit);
+        ("retry_after_ms", Int retry_after_ms) ]
+    | Rejected_by_estimate { spec; estimate; ceiling } ->
+      [ ("spec", Str spec);
+        ("estimate", if estimate = infinity then Null else whole estimate);
+        ("ceiling", whole ceiling) ]
+    | Budget_exceeded { what; limit; requested } ->
+      [ ("what", Str what); ("limit", Int limit); ("requested", Int requested) ]
+    | Vm_fault f ->
+      [ ("fault_kind", Str (fault_kind_name f.f_kind)); ("pc", Int f.f_pc);
+        ("step", Int f.f_step) ]
+    | _ -> []
+  in
+  Obj
+    ([ ("cause", Str (cause_name t)); ("code", Int (exit_code t));
+       ("stage", Str (stage_name t.stage)) ]
+    @ (match t.workload with Some w -> [ ("workload", Str w) ] | None -> [])
+    @ (("message", Str message) :: payload))
 
 (* Damerau-Levenshtein distance (transposition counts as one edit, so
    "akw" suggests "awk"); small strings only. *)

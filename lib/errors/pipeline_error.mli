@@ -119,14 +119,11 @@ val cause_name : t -> string
 (** Stable lower-snake tag of the cause class ("deadline_exceeded",
     "overloaded", ...) — the wire protocol's error discriminator. *)
 
-val to_json : Buffer.t -> t -> unit
-(** Append the error as one JSON object: [cause], [code], [stage],
-    optional [workload], human [message], plus cause-specific structured
-    fields (e.g. [retry_after_ms] for [Overloaded]) so clients never
-    parse the message text. *)
-
-val json_string : Buffer.t -> string -> unit
-(** Append [s] JSON-quoted (shared by the serve protocol renderers). *)
+val to_json : t -> Stdx.Jsonx.t
+(** The error as one JSON object: [cause], [code], [stage], optional
+    [workload], human [message], plus cause-specific structured fields
+    (e.g. [retry_after_ms] for [Overloaded]) so clients never parse the
+    message text. *)
 
 val suggest : string -> string list -> string option
 (** [suggest name candidates] is the nearest candidate by edit distance

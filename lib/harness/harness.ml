@@ -729,7 +729,6 @@ end
 
 type check_result = {
   c_workload : string;
-  c_report : Cfg.Verify.report;
   c_engine : Cfg.Engine.report;
   c_status : Vm.Exec.status option;
   c_dyn_entries : int;
@@ -745,7 +744,6 @@ let check ?options ?config ?(obs = Obs.Ctx.disabled) ?fuel
     Cfg.Engine.run ~obs ?config ~workload:w.Workloads.Registry.name
       Cfg.Verify.passes a
   in
-  let report = Cfg.Verify.of_engine engine in
   if dynamic then begin
     let fuel =
       match fuel with Some f -> f | None -> w.Workloads.Registry.fuel
@@ -758,7 +756,6 @@ let check ?options ?config ?(obs = Obs.Ctx.disabled) ?fuel
     in
     Counters.record_execution ();
     { c_workload = w.Workloads.Registry.name;
-      c_report = report;
       c_engine = engine;
       c_status = Some outcome.status;
       c_dyn_entries = Cfg.Verify.Dynamic.entries d;
@@ -767,7 +764,6 @@ let check ?options ?config ?(obs = Obs.Ctx.disabled) ?fuel
   end
   else
     { c_workload = w.Workloads.Registry.name;
-      c_report = report;
       c_engine = engine;
       c_status = None;
       c_dyn_entries = 0;

@@ -358,10 +358,9 @@ end
     trace cross-validation) over one workload. *)
 type check_result = {
   c_workload : string;
-  c_report : Cfg.Verify.report;  (** static diagnostics, historical shape *)
   c_engine : Cfg.Engine.report;
-  (** the same diagnostics as the engine produced them: (proc, pc,
-      class) order, effective severities, per-pass timings *)
+  (** the static diagnostics in (proc, pc, class) order, with
+      effective severities and per-pass timings *)
   c_status : Vm.Exec.status option;
   (** how the dynamic execution ended ([None] if static only) *)
   c_dyn_entries : int;  (** trace entries checked dynamically (0 if static only) *)

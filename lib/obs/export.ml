@@ -36,53 +36,34 @@ let tree buf ?(metrics = []) spans =
 
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let int_array a =
-  "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]"
-
 let jsonl buf ~spans ~metrics =
+  let open Stdx.Jsonx in
+  let line fields =
+    to_buffer buf (Obj fields);
+    Buffer.add_char buf '\n'
+  in
+  let ints a = List (Array.to_list (Array.map (fun i -> Int i) a)) in
   Array.iter
     (fun (s : Span.span) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"type\":\"span\",\"stage\":\"%s\",\"workload\":\"%s\",\
-            \"machine\":\"%s\",\"depth\":%d,\"start_ns\":%Ld,\
-            \"dur_ns\":%Ld}\n"
-           (json_escape s.sp_stage)
-           (json_escape s.sp_workload)
-           (json_escape s.sp_machine)
-           s.sp_depth s.sp_start_ns (Span.dur_ns s)))
+      line
+        [ ("type", Str "span"); ("stage", Str s.sp_stage);
+          ("workload", Str s.sp_workload); ("machine", Str s.sp_machine);
+          ("depth", Int s.sp_depth);
+          ("start_ns", Int (Int64.to_int s.sp_start_ns));
+          ("dur_ns", Int (Int64.to_int (Span.dur_ns s))) ])
     spans;
   List.iter
     (fun (m : Metrics.snap) ->
-      match m.value with
-      | Metrics.Counter v ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n"
-             (json_escape m.name) v)
-      | Metrics.Gauge v ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%d}\n"
-             (json_escape m.name) v)
-      | Metrics.Histogram { bounds; counts; sum } ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"type\":\"histogram\",\"name\":\"%s\",\"bounds\":%s,\
-              \"counts\":%s,\"sum\":%d}\n"
-             (json_escape m.name) (int_array bounds) (int_array counts) sum))
+      line
+        (match m.value with
+        | Metrics.Counter v ->
+          [ ("type", Str "counter"); ("name", Str m.name); ("value", Int v) ]
+        | Metrics.Gauge v ->
+          [ ("type", Str "gauge"); ("name", Str m.name); ("value", Int v) ]
+        | Metrics.Histogram { bounds; counts; sum } ->
+          [ ("type", Str "histogram"); ("name", Str m.name);
+            ("bounds", ints bounds); ("counts", ints counts);
+            ("sum", Int sum) ]))
     metrics
 
 (* ------------------------------------------------------------------ *)

@@ -21,7 +21,7 @@ val close : t -> unit
 val fresh_id : t -> int
 (** Next request id on this connection (monotonic from 1). *)
 
-val call : t -> string -> (Jsonx.t, string) result
+val call : t -> string -> (Stdx.Jsonx.t, string) result
 (** Send one framed JSON payload and read the framed response.
     [Error] on I/O failure or an unparseable reply — a {e typed} error
     response is an [Ok] carrying the decoded object. *)

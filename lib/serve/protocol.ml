@@ -1,3 +1,5 @@
+module Jsonx = Stdx.Jsonx
+
 let max_frame = 1 lsl 20
 
 (* ------------------------------------------------------------------ *)
@@ -250,15 +252,10 @@ let ok_metrics ~id ~body =
          ("metrics", Jsonx.Str body) ])
 
 let error_response ~id err =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "{\"id\":";
-  (match id with
-  | Some id -> Buffer.add_string buf (string_of_int id)
-  | None -> Buffer.add_string buf "null");
-  Buffer.add_string buf ",\"ok\":false,\"error\":";
-  Pipeline_error.to_json buf err;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Jsonx.to_string
+    (Jsonx.Obj
+       [ ("id", match id with Some id -> Jsonx.Int id | None -> Jsonx.Null);
+         ("ok", Jsonx.Bool false); ("error", Pipeline_error.to_json err) ])
 
 (* ------------------------------------------------------------------ *)
 (* Response decoding *)

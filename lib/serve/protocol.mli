@@ -69,11 +69,11 @@ type request =
   | Metrics of int
   | Analyze of int * analyze
 
-val decode_request : Jsonx.t -> (request, string) result
+val decode_request : Stdx.Jsonx.t -> (request, string) result
 (** Shape-check a parsed payload.  The message names the offending
     field; the caller wraps it as a typed [Invalid_request]. *)
 
-val request_id : Jsonx.t -> int option
+val request_id : Stdx.Jsonx.t -> int option
 (** Best-effort id extraction from any payload, so even a
     shape-rejected request gets its id echoed. *)
 
@@ -132,9 +132,9 @@ val error_response : id:int option -> Pipeline_error.t -> string
 type response = {
   r_id : int option;
   r_ok : bool;
-  r_body : Jsonx.t;  (** the whole response object *)
+  r_body : Stdx.Jsonx.t;  (** the whole response object *)
   r_error_cause : string option;  (** ["error"]["cause"] when not ok *)
   r_retry_after_ms : int option;  (** [Overloaded]'s structured hint *)
 }
 
-val decode_response : Jsonx.t -> response
+val decode_response : Stdx.Jsonx.t -> response

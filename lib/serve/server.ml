@@ -363,7 +363,7 @@ let invalid stage msg = Pipeline_error.v stage (Invalid_request msg)
 let process t conn payload =
   Obs.Metrics.incr t.m_requests;
   let started = now_ms () in
-  match Jsonx.parse payload with
+  match Stdx.Jsonx.parse payload with
   | Error msg ->
     respond_err t conn None
       (invalid Lookup ("malformed payload: " ^ msg));

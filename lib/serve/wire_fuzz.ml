@@ -69,7 +69,7 @@ let read_reply ~timeout_ms fd =
     match Protocol.read_frame fd with
     | Error _ -> R_closed
     | Ok body -> (
-      match Jsonx.parse body with
+      match Stdx.Jsonx.parse body with
       | Error _ -> R_error (* never happens: server output is JSON *)
       | Ok json ->
         let r = Protocol.decode_response json in

@@ -115,11 +115,8 @@ let test_timings () =
         (Int64.compare t.t_ns 0L >= 0))
     r.timings
 
-let test_render_json () =
-  let r = run warny in
-  let buf = Buffer.create 256 in
-  E.render_json buf r;
-  let s = Buffer.contents buf in
+let test_to_json () =
+  let s = Stdx.Jsonx.to_string (E.to_json (run warny)) in
   let has sub =
     let n = String.length sub and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -155,17 +152,6 @@ let test_metrics_and_spans () =
   Alcotest.(check bool) "per-pass spans recorded" true
     (Array.length spans >= List.length Cfg.Verify.passes)
 
-(* The compatibility shim: Verify.check must agree with a direct
-   engine run, diag for diag. *)
-let test_verify_compat () =
-  let a = Cfg.Analysis.analyze (P.resolve warny) in
-  let er = E.run Cfg.Verify.passes a in
-  let vr = Cfg.Verify.of_engine er in
-  Alcotest.(check int) "same error count" er.n_errors vr.n_errors;
-  Alcotest.(check int) "same warning count" er.n_warnings vr.n_warnings;
-  Alcotest.(check int) "same diag count"
-    (List.length er.diags) (List.length vr.diags)
-
 let suite =
   [ Alcotest.test_case "baseline run" `Quick test_baseline;
     Alcotest.test_case "disable a pass" `Quick test_disable;
@@ -173,6 +159,5 @@ let suite =
     Alcotest.test_case "strict promotion" `Quick test_strict;
     Alcotest.test_case "deterministic ordering" `Quick test_ordering;
     Alcotest.test_case "per-pass timings" `Quick test_timings;
-    Alcotest.test_case "json rendering" `Quick test_render_json;
-    Alcotest.test_case "metrics and spans" `Quick test_metrics_and_spans;
-    Alcotest.test_case "verify compatibility" `Quick test_verify_compat ]
+    Alcotest.test_case "json rendering" `Quick test_to_json;
+    Alcotest.test_case "metrics and spans" `Quick test_metrics_and_spans ]

@@ -120,6 +120,105 @@ let test_cumulative () =
   Alcotest.(check (list (pair int (float 1e-9)))) "empty" []
     (Stdx.Stats.cumulative [])
 
+(* ------------------------------------------------------------------ *)
+(* Jsonx: total parse, deterministic print. *)
+
+module Jsonx = Stdx.Jsonx
+
+let check = Alcotest.check
+let fail = Alcotest.fail
+let bool = Alcotest.bool
+let string = Alcotest.string
+
+let test_jsonx_roundtrip () =
+  let src = {|{"a":1,"b":[true,null,"x\ny"],"c":{"d":2.5},"e":-7}|} in
+  match Jsonx.parse src with
+  | Error e -> fail e
+  | Ok v -> (
+    check bool "int member" true (Jsonx.(member "a" v |> Option.get |> to_int) = Some 1);
+    check bool "nested float" true
+      (Jsonx.(member "c" v |> Option.get |> member "d" |> Option.get |> to_float)
+      = Some 2.5);
+    (match Jsonx.(member "b" v |> Option.get |> to_list) with
+    | Some [ b; n; s ] ->
+      check bool "bool" true (Jsonx.to_bool b = Some true);
+      check bool "null is not a string" true (Jsonx.to_str n = None);
+      check bool "escaped string" true (Jsonx.to_str s = Some "x\ny")
+    | _ -> fail "list shape");
+    (* print → parse is the identity *)
+    match Jsonx.parse (Jsonx.to_string v) with
+    | Ok v2 -> check bool "print/parse identity" true (v = v2)
+    | Error e -> fail e)
+
+(* Trees whose strings (values and keys) mix every control byte, the
+   two characters with short escapes of their own, and 2-, 3- and
+   4-byte UTF-8.  Floats are quarter-offset so [%.12g] prints them
+   exactly and they never print as integers. *)
+let gen_json =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [ map (fun i -> String.make 1 (Char.chr i)) (0 -- 0x1f);
+        oneofl [ "\""; "\\"; "/"; "a"; " "; "\xc3\xa9"; "\xe2\x82\xac";
+                 "\xf0\x9d\x84\x9e" ] ]
+  in
+  let str = map (String.concat "") (list_size (0 -- 8) piece) in
+  let leaf =
+    oneof
+      [ return Jsonx.Null;
+        map (fun b -> Jsonx.Bool b) bool;
+        map (fun i -> Jsonx.Int i) int;
+        map
+          (fun i -> Jsonx.Float (float_of_int i +. 0.25))
+          (-1_000_000 -- 1_000_000);
+        map (fun s -> Jsonx.Str s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Jsonx.List l) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> Jsonx.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 4))))) ])
+
+let test_jsonx_roundtrip_generated =
+  QCheck.Test.make ~name:"jsonx: parse (to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Jsonx.to_string gen_json)
+    (fun v -> Jsonx.parse (Jsonx.to_string v) = Ok v)
+
+let test_jsonx_escape_bytes () =
+  (* every JSON output of the project goes through this escaper *)
+  check string "escaped bytes" {|"\"\\\n\r\t\u0001"|}
+    (Jsonx.to_string (Jsonx.Str "\"\\\n\r\t\x01"))
+
+let test_jsonx_rejects () =
+  let bad s =
+    match Jsonx.parse s with
+    | Ok _ -> fail (Printf.sprintf "accepted %S" s)
+    | Error _ -> ()
+  in
+  bad "{\"a\":1} x";              (* trailing bytes *)
+  bad "\"\xff\xfe\"";             (* invalid UTF-8 in a string *)
+  bad "{\"a\":";                  (* truncated *)
+  bad "[1,]";                     (* dangling comma *)
+  bad "\"\\ud800\"";              (* lone surrogate *)
+  bad (String.make 70 '[');       (* past the nesting limit *)
+  (* ... but 40 levels are fine *)
+  match Jsonx.parse (String.make 40 '[' ^ String.make 40 ']') with
+  | Ok _ -> ()
+  | Error e -> fail e
+
+let test_jsonx_nonfinite_floats () =
+  check string "nan prints null" "null" (Jsonx.to_string (Jsonx.Float nan));
+  check string "inf prints null" "null"
+    (Jsonx.to_string (Jsonx.Float infinity));
+  check string "finite float survives" "2.5"
+    (Jsonx.to_string (Jsonx.Float 2.5))
+
 let suite =
   [ Alcotest.test_case "vec basic" `Quick test_vec_basic;
     Alcotest.test_case "vec pop" `Quick test_vec_pop;
@@ -131,4 +230,12 @@ let suite =
     Alcotest.test_case "means" `Quick test_means;
     QCheck_alcotest.to_alcotest test_mean_inequality;
     Alcotest.test_case "percentile" `Quick test_percentile;
-    Alcotest.test_case "cumulative" `Quick test_cumulative ]
+    Alcotest.test_case "cumulative" `Quick test_cumulative;
+    Alcotest.test_case "jsonx: parse/print round trip" `Quick
+      test_jsonx_roundtrip;
+    QCheck_alcotest.to_alcotest test_jsonx_roundtrip_generated;
+    Alcotest.test_case "jsonx: escaper bytes" `Quick test_jsonx_escape_bytes;
+    Alcotest.test_case "jsonx: malformed inputs rejected" `Quick
+      test_jsonx_rejects;
+    Alcotest.test_case "jsonx: non-finite floats print null" `Quick
+      test_jsonx_nonfinite_floats ]
